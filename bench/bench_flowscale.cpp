@@ -61,7 +61,7 @@ struct FlowScaleRow {
   std::uint64_t misses = 0;
   std::uint64_t inserts = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t flows_resident = 0;
+  std::uint64_t resident = 0;
   double hit_rate = 0.0;
   double load_factor = 0.0;
   double mean_probe = 0.0;
@@ -117,7 +117,7 @@ FlowScaleRow RunPoint(std::shared_ptr<const rt::LoweredModel> model,
   row.misses = run.stats.table.misses;
   row.inserts = run.stats.table.inserts;
   row.evictions = run.stats.table.evictions;
-  row.flows_resident = run.stats.flows_resident;
+  row.resident = run.stats.table.resident;
   const std::uint64_t ops = row.hits + row.misses;
   row.hit_rate = ops ? static_cast<double>(row.hits) /
                            static_cast<double>(ops)
@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.misses),
         static_cast<unsigned long long>(r.inserts),
         static_cast<unsigned long long>(r.evictions),
-        static_cast<unsigned long long>(r.flows_resident), r.hit_rate,
+        static_cast<unsigned long long>(r.resident), r.hit_rate,
         r.load_factor, r.mean_probe, hist.c_str(), r.wall_ms, r.pps,
         i + 1 < rows.size() ? "," : "");
   }

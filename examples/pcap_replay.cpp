@@ -90,7 +90,8 @@ int main() {
   std::printf("decisions: %llu (accuracy %.3f, macro-F1 %.3f), "
               "%zu flows resident\n",
               static_cast<unsigned long long>(run.stats.decisions),
-              report.accuracy, report.f1, run.stats.flows_resident);
+              report.accuracy, report.f1,
+              static_cast<std::size_t>(run.stats.table.resident));
   std::remove(path);
   return 0;
 }

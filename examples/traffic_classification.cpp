@@ -64,7 +64,7 @@ int main() {
               static_cast<unsigned long long>(run.stats.batches));
   std::printf("flow tables: %zu flows resident, %llu evictions, "
               "%zu b/flow state, %.1f Kb SRAM\n",
-              run.stats.flows_resident,
+              static_cast<std::size_t>(run.stats.table.resident),
               static_cast<unsigned long long>(run.stats.table.evictions),
               run.stats.stateful_bits_per_flow,
               static_cast<double>(run.stats.flow_table_sram_bits) / 1024.0);

@@ -99,7 +99,6 @@ void FinishRun(StreamRun& run, runtime::StreamServer& server,
                std::chrono::steady_clock::time_point t0,
                std::chrono::steady_clock::time_point t1) {
   run.stats = server.Stats();
-  run.telemetry = server.TelemetrySnapshot();
   run.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   const std::uint64_t pushed = run.stats.packets - packets_before;
   run.packets_per_sec =

@@ -72,11 +72,9 @@ std::vector<traffic::TracePacket> TestTrace(const PreparedDataset& prep,
 /// multi-threaded mode) and reports wall time alongside the decisions.
 struct StreamRun {
   std::vector<runtime::StreamDecision> decisions;
+  /// Taken at run end; includes the telemetry snapshot (stage latency
+  /// quantiles, ring HWMs, trace-ring occupancy).
   runtime::StreamServerStats stats;
-  /// Observability snapshot taken at run end (stage latency quantiles,
-  /// ring HWMs, trace-ring occupancy). `telemetry.attached` is false when
-  /// the server was built without telemetry — the fields are then zero.
-  telemetry::TelemetrySnapshot telemetry;
   double wall_ms = 0.0;
   double packets_per_sec = 0.0;
 };

@@ -174,9 +174,11 @@ extern std::atomic<bool> g_fault_enabled;
 }  // namespace fault_detail
 
 /// The hook compiled into runtime hot paths. Disarmed (always, outside
-/// fault tests): one relaxed load + never-taken branch.
+/// fault tests): one load + never-taken branch. The load is acquire (a
+/// plain load on x86) so a hook that sees the gate open also sees the plan
+/// Arm() wrote before opening it, even when a test arms mid-run.
 inline bool FaultFires(FaultSite site) {
-  if (!fault_detail::g_fault_enabled.load(std::memory_order_relaxed))
+  if (!fault_detail::g_fault_enabled.load(std::memory_order_acquire))
       [[likely]] {
     return false;
   }

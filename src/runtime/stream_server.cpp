@@ -127,8 +127,12 @@ struct alignas(64) StreamServer::ShardItem {
 
 struct StreamServer::Shard {
   Shard(std::shared_ptr<const ServingState> state,
-        const StreamServerOptions& opts, std::size_t dim)
-      : serving(std::move(state)),
+        const StreamServerOptions& opts, std::size_t dim,
+        telemetry::ShardTelemetry& telemetry, std::uint32_t shard_index)
+      : tele(telemetry),
+        counters(telemetry.counters),
+        index(shard_index),
+        serving(std::move(state)),
         engine(std::make_unique<InferenceEngine>(*serving->model,
                                                  opts.batch_size)),
         out_dim(serving->model->OutputDim()),
@@ -181,9 +185,6 @@ struct StreamServer::Shard {
       raw_table->ResetStats();
     }
   }
-  std::size_t FlowsResident() const {
-    return table ? table->size() : raw_table ? raw_table->size() : 0;
-  }
   std::size_t TableSramBits(std::size_t bits_per_flow) const {
     // Priced from the configured slot count so accounting works before a
     // deferred table is built (matches FlowTable::SramBits exactly).
@@ -197,14 +198,23 @@ struct StreamServer::Shard {
     }
   }
 
+  /// Publishes the worker-private table's hit/miss counts to the block.
+  void PublishTableCounts() {
+    if (!table && !raw_table) return;
+    const FlowTableStats& ts = table ? table->stats() : raw_table->stats();
+    counters.table_hits.Set(ts.hits);
+    counters.table_misses.Set(ts.misses);
+  }
+
   std::unique_ptr<FlowTable<traffic::OnlineFlowState>> table;
   std::unique_ptr<FlowTable<traffic::OnlineFlowStateRaw>> raw_table;
-  /// This shard's index in shards_ (trace events + shed accounting need
-  /// it from contexts that only hold the Shard&).
+  /// This shard's telemetry (stage histograms, event ring) and its counter
+  /// block — the only storage of the shard's serving counters.
+  telemetry::ShardTelemetry& tele;
+  telemetry::ShardCounters& counters;
+  /// This shard's index in shards_ (trace events need it from contexts
+  /// that only hold the Shard&).
   std::uint32_t index = 0;
-  /// This shard's telemetry block, or nullptr when detached — the "off"
-  /// hot path tests exactly one pointer.
-  telemetry::ShardTelemetry* tele = nullptr;
   /// Epoch handle + the engine built over it. Owned by the worker thread
   /// while running; swapped together at packet boundaries (ApplySwap).
   std::shared_ptr<const ServingState> serving;
@@ -224,33 +234,6 @@ struct StreamServer::Shard {
   std::size_t slot_count = 0;
   std::size_t pending = 0;
   std::vector<StreamDecision> decisions;
-  std::uint64_t packets = 0;
-  std::uint64_t warmup = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t decided = 0;
-  std::uint64_t swaps = 0;
-  double swap_wall_ms = 0.0;
-  /// Self-healing counters (worker-owned, read after Stop like `packets`).
-  std::uint64_t shed_inference = 0;
-  std::uint64_t inference_faults = 0;
-  std::uint64_t batches_dropped = 0;
-  /// Ingest-side shed counters. ring_full has a single writer (the ingest
-  /// thread owning this shard) but misroutes can come from ANY ingest
-  /// thread — both are atomics so Stats() reads stay race-free under TSan.
-  std::atomic<std::uint64_t> shed_ring_full{0};
-  std::atomic<std::uint64_t> shed_misrouted{0};
-  /// Liveness counters: written by the worker, sampled lock-free by the
-  /// watchdog and Health(). Own cache line so the watchdog's polling
-  /// never bounces the worker's hot counters.
-  alignas(64) std::atomic<std::uint64_t> heartbeat{0};
-  std::atomic<std::uint64_t> processed{0};
-  std::atomic<bool> stalled{false};
-  std::atomic<std::uint64_t> stall_events{0};
-  /// Highest ring occupancy the worker has observed (burst in hand +
-  /// SizeApprox remainder at each drain). Single writer (the worker);
-  /// Health()/TelemetrySnapshot() read it live. Telemetry-independent:
-  /// tracked even with telemetry detached.
-  std::atomic<std::size_t> ring_depth_hwm{0};
   /// Only allocated in multi-threaded mode.
   std::unique_ptr<SpscQueue<ShardItem>> queue;
   std::thread worker;
@@ -258,7 +241,10 @@ struct StreamServer::Shard {
 
 StreamServer::StreamServer(std::shared_ptr<const LoweredModel> model,
                            StreamServerOptions opts, std::uint64_t version)
-    : opts_(opts), dim_(FeatureDim(opts.feature)) {
+    : opts_(opts),
+      dim_(FeatureDim(opts.feature)),
+      tele_(opts.telemetry, opts.num_shards),
+      push_sampler_(opts.telemetry.sample_every) {
   if (model == nullptr) {
     throw std::invalid_argument("StreamServer: null model");
   }
@@ -294,16 +280,8 @@ StreamServer::StreamServer(std::shared_ptr<const LoweredModel> model,
   published_version_.store(version, std::memory_order_relaxed);
   shards_.reserve(opts_.num_shards);
   for (std::size_t i = 0; i < opts_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(serving_, opts_, dim_));
-    shards_.back()->index = static_cast<std::uint32_t>(i);
-  }
-  if (opts_.telemetry.Attached()) {
-    tele_ = std::make_unique<telemetry::ServerTelemetry>(opts_.telemetry,
-                                                         opts_.num_shards);
-    for (std::size_t i = 0; i < opts_.num_shards; ++i) {
-      shards_[i]->tele = &tele_->shard(i);
-    }
-    push_sampler_ = telemetry::Sampler(opts_.telemetry.sample_every);
+    shards_.push_back(std::make_unique<Shard>(
+        serving_, opts_, dim_, tele_.shard(i), static_cast<std::uint32_t>(i)));
   }
 }
 
@@ -323,15 +301,10 @@ StreamServer::Shard& StreamServer::ShardOf(std::uint64_t digest) {
 void StreamServer::Push(const traffic::TracePacket& packet) {
   Shard& shard = ShardOf(packet.key.digest);
   // Sampling decision at the boundary (one predictable branch when
-  // telemetry is off or sample_every == 0): the stamp starts the packet's
-  // end-to-end clock and, in MT mode, the ring-dwell clock.
-  const std::uint32_t stamp =
-      (tele_ != nullptr && push_sampler_.Sample()) ? tele_->Stamp32() : 0;
+  // sample_every == 0): the stamp starts the packet's end-to-end clock
+  // and, in MT mode, the ring-dwell clock.
+  const std::uint32_t stamp = push_sampler_.Sample() ? tele_.Stamp32() : 0;
   if (!running_) {
-    // `processed` mirrors the MT worker counter so live pps reads work in
-    // both modes (relaxed add, single writer — the producer IS the
-    // processor here).
-    shard.processed.fetch_add(1, std::memory_order_relaxed);
     Process(shard, packet, stamp);
     return;
   }
@@ -345,16 +318,15 @@ void StreamServer::Push(const traffic::TracePacket& packet) {
   while (FaultFires(FaultSite::kRingPushStall) ||
          !shard.queue->TryPush(std::move(item))) {
     if (opts_.shed && esc.Exhausted()) {
-      shard.shed_ring_full.fetch_add(1, std::memory_order_relaxed);
+      shard.counters.shed_ring_full.Add();
       // Per-packet sheds are a high-rate event under sustained overload:
       // trace only the sampled packets (same 1-in-N as packet spans), or
       // a drop storm evicts every lifecycle event from the fixed ring.
       // The batch-level shed records (burst remainder, inference) stay
       // unconditional. The shed *counter* above counts every drop.
-      if (shard.tele != nullptr && stamp != 0) {
-        shard.tele->ring.Record(telemetry::TraceEventKind::kShed,
-                                shard.index, tele_->NowNs(), 0, 1,
-                                /*reason=*/0);
+      if (stamp != 0) {
+        shard.tele.ring.Record(telemetry::TraceEventKind::kShed, shard.index,
+                               tele_.NowNs(), 0, 1, /*reason=*/0);
       }
       return;
     }
@@ -380,15 +352,12 @@ void StreamServer::PushStage(Shard& shard, std::span<ShardItem> items) {
       // that stayed full through the whole escalation ladder — shed it
       // here, deterministically, instead of stalling every other shard
       // this ingest thread feeds.
-      shard.shed_ring_full.fetch_add(rest.size(), std::memory_order_relaxed);
-      if (shard.tele != nullptr) {
-        // The shard's event ring is multi-writer safe (claim cursor +
-        // per-slot seq), so the ingest thread can drop the shed marker
-        // on the shard's own track.
-        shard.tele->ring.Record(telemetry::TraceEventKind::kShed,
-                                shard.index, tele_->NowNs(), 0, rest.size(),
-                                /*reason=*/0);
-      }
+      shard.counters.shed_ring_full.Add(rest.size());
+      // The shard's event ring is multi-writer safe (claim cursor +
+      // per-slot seq), so the ingest thread can drop the shed marker on
+      // the shard's own track.
+      shard.tele.ring.Record(telemetry::TraceEventKind::kShed, shard.index,
+                             tele_.NowNs(), 0, rest.size(), /*reason=*/0);
       break;
     }
     esc.Wait();
@@ -410,36 +379,34 @@ void StreamServer::IngestLoop(PartitionedPacketSource& source, std::size_t t,
   }
   // Each ingest thread keeps its own countdown: a sampled pull times the
   // source decode (Next) and stamps the packet for dwell/end-to-end
-  // measurement downstream. With telemetry off this is one predictable
+  // measurement downstream. With sampling off this is one predictable
   // branch per packet, same as the fault hooks.
-  telemetry::Sampler sampler(tele_ != nullptr ? tele_->sample_every() : 0);
+  telemetry::Sampler sampler(tele_.sample_every());
   traffic::TracePacket pkt;
   for (;;) {
     const bool sampled = sampler.Sample();
-    const std::uint64_t t0 = sampled ? tele_->NowNs() : 0;
+    const std::uint64_t t0 = sampled ? tele_.NowNs() : 0;
     if (!source.Next(t, pkt)) break;
     std::uint64_t now = 0;
     std::uint32_t stamp = 0;
     if (sampled) {
-      now = tele_->NowNs();
-      stamp = tele_->Stamp32(now);
+      now = tele_.NowNs();
+      stamp = tele_.Stamp32(now);
     }
     const std::size_t s = ShardIndexOf(pkt.key.digest, shards_.size());
     if (s % fanout != t) {
       // The partition function disagrees with the shard map: shard s's
       // ring has another producer, so enqueueing from here would break the
       // SPSC invariant. Count and shed — zero under a correct partitioner.
-      shards_[s]->shed_misrouted.fetch_add(1, std::memory_order_relaxed);
-      if (shards_[s]->tele != nullptr) {
-        shards_[s]->tele->ring.Record(telemetry::TraceEventKind::kShed,
-                                      static_cast<std::uint32_t>(s),
-                                      tele_->NowNs(), 0, 1, /*reason=*/1);
-      }
+      shards_[s]->counters.shed_misrouted.AddShared(1);
+      shards_[s]->tele.ring.Record(telemetry::TraceEventKind::kShed,
+                                   static_cast<std::uint32_t>(s),
+                                   tele_.NowNs(), 0, 1, /*reason=*/1);
       continue;
     }
     if (sampled) {
-      shards_[s]->tele->stages.Record(telemetry::Stage::kIngestNext,
-                                      now - t0);
+      shards_[s]->tele.stages.Record(telemetry::Stage::kIngestNext,
+                                     now - t0);
     }
     Stage& stage = stages[s];
     ShardItem& item = stage.items[stage.n];
@@ -508,33 +475,29 @@ void StreamServer::SwapModelDelta(
   const auto t1 = std::chrono::steady_clock::now();
   // Account only on success: a failed publish discarded the clone and the
   // server still serves (and re-reports) the previous version.
-  if (tele_ != nullptr) {
-    tele_->control_ring().Record(
-        telemetry::TraceEventKind::kDeltaApply,
-        telemetry::TraceEvent::kControlTrack, tele_->NowNs(),
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                .count()),
-        version, bytes);
-  }
-  ++delta_swaps_;
-  delta_bytes_pushed_ += bytes;
-  deltas_applied_ += after.deltas_applied - before.deltas_applied;
-  leaf_words_patched_ += after.leaf_words_patched - before.leaf_words_patched;
-  reseals_avoided_ += after.reseals_avoided - before.reseals_avoided;
-  delta_apply_ns_ += after.delta_apply_ns - before.delta_apply_ns;
-  delta_swap_wall_ms_ +=
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
+  tele_.control_ring().Record(
+      telemetry::TraceEventKind::kDeltaApply,
+      telemetry::TraceEvent::kControlTrack, tele_.NowNs(),
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+              .count()),
+      version, bytes);
+  ++delta_.swaps;
+  delta_.bytes_pushed += bytes;
+  delta_.deltas_applied += after.deltas_applied - before.deltas_applied;
+  delta_.leaf_words_patched +=
+      after.leaf_words_patched - before.leaf_words_patched;
+  delta_.reseals_avoided += after.reseals_avoided - before.reseals_avoided;
+  delta_.apply_ns += after.delta_apply_ns - before.delta_apply_ns;
+  delta_.wall_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
 void StreamServer::PublishState(std::shared_ptr<const ServingState> next) {
   const std::uint64_t version = next->version;
   const auto prev = serving_;
-  if (tele_ != nullptr) {
-    tele_->control_ring().Record(telemetry::TraceEventKind::kSwapBegin,
-                                 telemetry::TraceEvent::kControlTrack,
-                                 tele_->NowNs(), 0, version, prev->version);
-  }
+  tele_.control_ring().Record(telemetry::TraceEventKind::kSwapBegin,
+                              telemetry::TraceEvent::kControlTrack,
+                              tele_.NowNs(), 0, version, prev->version);
   if (!running_) {
     // Synchronous apply: the caller owns the shards, and "now" is a packet
     // boundary by definition in single-threaded mode. Transactional: a
@@ -552,12 +515,9 @@ void StreamServer::PublishState(std::shared_ptr<const ServingState> next) {
         // model repeats a build that already succeeded.
         ApplySwap(*shards_[i], prev, /*inject_faults=*/false);
       }
-      if (tele_ != nullptr) {
-        tele_->control_ring().Record(telemetry::TraceEventKind::kSwapRollback,
-                                     telemetry::TraceEvent::kControlTrack,
-                                     tele_->NowNs(), 0, version,
-                                     prev->version);
-      }
+      tele_.control_ring().Record(telemetry::TraceEventKind::kSwapRollback,
+                                  telemetry::TraceEvent::kControlTrack,
+                                  tele_.NowNs(), 0, version, prev->version);
       throw SwapError("StreamServer::SwapModel: publish of v" +
                       std::to_string(version) + " failed (" + e.what() +
                       "); rolled back to v" +
@@ -565,11 +525,9 @@ void StreamServer::PublishState(std::shared_ptr<const ServingState> next) {
     }
     serving_ = std::move(next);
     published_version_.store(version, std::memory_order_relaxed);
-    if (tele_ != nullptr) {
-      tele_->control_ring().Record(telemetry::TraceEventKind::kSwapPublish,
-                                   telemetry::TraceEvent::kControlTrack,
-                                   tele_->NowNs(), 0, version, 0);
-    }
+    tele_.control_ring().Record(telemetry::TraceEventKind::kSwapPublish,
+                                telemetry::TraceEvent::kControlTrack,
+                                tele_.NowNs(), 0, version, 0);
     return;
   }
   // Multi-threaded publish: validate on THIS thread before anything
@@ -584,11 +542,9 @@ void StreamServer::PublishState(std::shared_ptr<const ServingState> next) {
     InferenceEngine probe(*next->model, opts_.batch_size);
     (void)probe;
   } catch (const std::exception& e) {
-    if (tele_ != nullptr) {
-      tele_->control_ring().Record(telemetry::TraceEventKind::kSwapRollback,
-                                   telemetry::TraceEvent::kControlTrack,
-                                   tele_->NowNs(), 0, version, prev->version);
-    }
+    tele_.control_ring().Record(telemetry::TraceEventKind::kSwapRollback,
+                                telemetry::TraceEvent::kControlTrack,
+                                tele_.NowNs(), 0, version, prev->version);
     throw SwapError("StreamServer::SwapModel: publish of v" +
                     std::to_string(version) + " failed (" + e.what() +
                     "); still serving v" + std::to_string(prev->version));
@@ -606,11 +562,9 @@ void StreamServer::PublishState(std::shared_ptr<const ServingState> next) {
       std::this_thread::yield();
     }
   }
-  if (tele_ != nullptr) {
-    tele_->control_ring().Record(telemetry::TraceEventKind::kSwapPublish,
-                                 telemetry::TraceEvent::kControlTrack,
-                                 tele_->NowNs(), 0, version, 0);
-  }
+  tele_.control_ring().Record(telemetry::TraceEventKind::kSwapPublish,
+                              telemetry::TraceEvent::kControlTrack,
+                              tele_.NowNs(), 0, version, 0);
 }
 
 void StreamServer::ApplySwap(Shard& shard,
@@ -637,21 +591,16 @@ void StreamServer::ApplySwap(Shard& shard,
   shard.logits.resize(opts_.batch_size * shard.out_dim);
   shard.serving = std::move(next);
   const auto t1 = std::chrono::steady_clock::now();
-  ++shard.swaps;
-  shard.swap_wall_ms +=
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  if (shard.tele != nullptr) {
-    // The serving gap is a lifecycle event, not a sampled one: every
-    // apply lands in the swap_publish histogram and on the shard's trace
-    // track, so a slow rebuild is visible even at sample_every == 0.
-    const auto gap_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-    shard.tele->stages.Record(telemetry::Stage::kSwapPublish, gap_ns);
-    shard.tele->ring.Record(telemetry::TraceEventKind::kSwapApply,
-                            shard.index, tele_->NowNs(), gap_ns,
-                            shard.serving->version, 0);
-  }
+  const auto gap_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+  shard.counters.swaps.Add();
+  shard.counters.swap_wall_ns.Add(gap_ns);
+  // The serving gap is a lifecycle event, not a sampled one: every apply
+  // lands in the swap_publish histogram and on the shard's trace track, so
+  // a slow rebuild is visible even at sample_every == 0.
+  shard.tele.stages.Record(telemetry::Stage::kSwapPublish, gap_ns);
+  shard.tele.ring.Record(telemetry::TraceEventKind::kSwapApply, shard.index,
+                         tele_.NowNs(), gap_ns, shard.serving->version, 0);
 }
 
 void StreamServer::Process(Shard& shard, const traffic::TracePacket& packet,
@@ -660,26 +609,29 @@ void StreamServer::Process(Shard& shard, const traffic::TracePacket& packet,
   // get here first without a worker is Push() before Start(), where the
   // caller owns the shard — build on demand (idempotent, single-threaded).
   if (!shard.table && !shard.raw_table) shard.EnsureTables();
-  ++shard.packets;
-  // Sampled packets (nonzero stamp, telemetry attached) pay three extra
-  // clock reads to split lookup from extraction; everything else takes
-  // one predictable branch here and none below.
-  const bool sampled = stamp != 0 && shard.tele != nullptr;
+  // packets is bumped before the packet's outcome (warmup, decisions or
+  // shed_inference) is published with release — the order the live
+  // accounting identity rests on (telemetry::ShardCounters).
+  shard.counters.packets.Add();
+  // Sampled packets (nonzero stamp) pay three extra clock reads to split
+  // lookup from extraction; everything else takes one predictable branch
+  // here and none below.
+  const bool sampled = stamp != 0;
   std::uint64_t t0 = 0;
   std::uint64_t t1 = 0;
   float* row = shard.features.data() + shard.pending * dim_;
   bool full;
-  if (sampled) t0 = tele_->NowNs();
+  if (sampled) t0 = tele_.NowNs();
   if (opts_.feature == FeatureKind::kRaw) {
     traffic::OnlineFlowStateRaw& state =
         shard.raw_table->FindOrInsert(packet.key);
-    if (sampled) t1 = tele_->NowNs();
+    if (sampled) t1 = tele_.NowNs();
     extractor_.Update(state, *packet.packet, packet.ts_us);
     full = state.WindowFull();
     if (full) extractor_.EmitRaw(state, row);
   } else {
     traffic::OnlineFlowState& state = shard.table->FindOrInsert(packet.key);
-    if (sampled) t1 = tele_->NowNs();
+    if (sampled) t1 = tele_.NowNs();
     extractor_.Update(state, *packet.packet, packet.ts_us);
     full = state.WindowFull();
     if (full) {
@@ -691,29 +643,32 @@ void StreamServer::Process(Shard& shard, const traffic::TracePacket& packet,
     }
   }
   if (sampled) {
-    const std::uint64_t t2 = tele_->NowNs();
-    shard.tele->stages.Record(telemetry::Stage::kFlowLookup, t1 - t0);
-    shard.tele->stages.Record(telemetry::Stage::kFeatureExtract, t2 - t1);
+    const std::uint64_t t2 = tele_.NowNs();
+    shard.tele.stages.Record(telemetry::Stage::kFlowLookup, t1 - t0);
+    shard.tele.stages.Record(telemetry::Stage::kFeatureExtract, t2 - t1);
   }
   if (!full) {
-    ++shard.warmup;
+    shard.counters.warmup.AddRelease();
     return;
   }
   shard.meta[shard.pending] = {packet.key.digest, packet.flow, packet.index,
-                               packet.label, sampled ? stamp : 0};
+                               packet.label, stamp};
   if (++shard.pending == opts_.batch_size) FlushShard(shard);
 }
 
 void StreamServer::FlushShard(Shard& shard) {
+  // Every flush, empty ones included (Flush, Stop, swap), publishes the
+  // table's hit/miss counts, so they are exact on a flushed server.
+  shard.PublishTableCounts();
   const std::size_t n = shard.pending;
   if (n == 0) return;
   const std::size_t out_dim = shard.out_dim;
-  telemetry::ShardTelemetry* const tele = shard.tele;
+  telemetry::ShardCounters& counters = shard.counters;
   // The flush is timed whole (Infer + argmax + emit) whenever sampling is
   // enabled — it is already batch-amortized, so per-flush (not 1-in-N)
   // costs two clock reads per `batch_size` packets.
-  const bool timed = tele != nullptr && tele_->sample_every() != 0;
-  const std::uint64_t flush_t0 = timed ? tele_->NowNs() : 0;
+  const bool timed = tele_.sample_every() != 0;
+  const std::uint64_t flush_t0 = timed ? tele_.NowNs() : 0;
   // Bounded retry ladder around the engine: a transient Infer failure
   // (fault site kInferenceFault, or a genuine blip) is retried with a
   // linear backoff; once the budget is exhausted the batch is shed and
@@ -728,16 +683,13 @@ void StreamServer::FlushShard(Shard& shard) {
           std::span<float>(shard.logits.data(), n * out_dim));
       break;
     } catch (const std::exception&) {
-      ++shard.inference_faults;
+      counters.inference_faults.Add();
       if (attempt >= opts_.inference_retries) {
-        shard.shed_inference += n;
-        ++shard.batches_dropped;
+        counters.batches_dropped.Add();
+        counters.shed_inference.AddRelease(n);
         shard.pending = 0;
-        if (tele != nullptr) {
-          tele->shed_inference.Add(n);
-          tele->ring.Record(telemetry::TraceEventKind::kShed, shard.index,
-                            tele_->NowNs(), 0, n, /*reason=*/2);
-        }
+        shard.tele.ring.Record(telemetry::TraceEventKind::kShed, shard.index,
+                               tele_.NowNs(), 0, n, /*reason=*/2);
         return;
       }
       if (opts_.inference_retry_backoff_us != 0) {
@@ -748,12 +700,8 @@ void StreamServer::FlushShard(Shard& shard) {
   }
   // One clock read covers every sampled packet in the batch: their
   // end-to-end spans all close at this flush.
-  std::uint64_t emit_ns = 0;
-  std::uint32_t emit32 = 0;
-  if (tele != nullptr) {
-    emit_ns = tele_->NowNs();
-    emit32 = static_cast<std::uint32_t>(emit_ns);
-  }
+  const std::uint64_t emit_ns = timed ? tele_.NowNs() : 0;
+  const auto emit32 = static_cast<std::uint32_t>(emit_ns);
   for (std::size_t i = 0; i < n; ++i) {
     const float* row = shard.logits.data() + i * out_dim;
     std::size_t best = 0;
@@ -769,31 +717,23 @@ void StreamServer::FlushShard(Shard& shard) {
     decision.score = row[best];
     decision.version = shard.serving->version;
     const std::uint32_t start = shard.meta[i].start;
-    if (start != 0 && tele != nullptr) {
+    if (start != 0) {
       // u32 wraparound subtraction: correct for spans < ~4.29s.
       const std::uint32_t lat = emit32 - start;
       decision.latency_ns = lat;
-      tele->stages.Record(telemetry::Stage::kEndToEnd, lat);
-      tele->ring.Record(telemetry::TraceEventKind::kPacketSpan, shard.index,
-                        emit_ns - lat, lat, decision.flow_digest,
-                        decision.version);
+      shard.tele.stages.Record(telemetry::Stage::kEndToEnd, lat);
+      shard.tele.ring.Record(telemetry::TraceEventKind::kPacketSpan,
+                             shard.index, emit_ns - lat, lat,
+                             decision.flow_digest, decision.version);
     }
     shard.decisions.push_back(decision);
   }
-  ++shard.batches;
-  shard.decided += n;
+  counters.batches.Add();
+  counters.decisions.AddRelease(n);
   shard.pending = 0;
-  if (tele != nullptr) {
-    tele->decisions.Add(n);
-    if (timed) {
-      tele->stages.Record(telemetry::Stage::kInferFlush,
-                          tele_->NowNs() - flush_t0);
-    }
-    // Refresh the live hit-rate gauges from the (worker-private) table
-    // counters — once per flush, so the live snapshot sees them move.
-    const FlowTableStats ts = shard.TableStats();
-    tele->table_hits.Set(ts.hits);
-    tele->table_misses.Set(ts.misses);
+  if (timed) {
+    shard.tele.stages.Record(telemetry::Stage::kInferFlush,
+                             tele_.NowNs() - flush_t0);
   }
 }
 
@@ -835,9 +775,7 @@ void StreamServer::Stop() {
   // Every worker drained its ring and exited: whatever the watchdog's last
   // sample said, a quiesced server is not stalled. stall_events stays — a
   // recovered stall remains part of the run's history.
-  for (auto& shard : shards_) {
-    shard->stalled.store(false, std::memory_order_relaxed);
-  }
+  for (auto& shard : shards_) shard->counters.stalled.Set(0);
   running_ = false;
 }
 
@@ -847,34 +785,30 @@ void StreamServer::WatchdogLoop() {
   std::vector<std::size_t> stagnant(shards_.size(), 0);
   while (!watchdog_stop_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(interval);
-    watchdog_checks_.fetch_add(1, std::memory_order_relaxed);
+    tele_.watchdog_checks.Add();
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       Shard& s = *shards_[i];
-      const std::uint64_t beat = s.heartbeat.load(std::memory_order_relaxed);
+      telemetry::ShardCounters& c = s.counters;
+      const std::uint64_t beat = c.heartbeat.value();
       const bool has_work = s.queue && s.queue->SizeApprox() != 0;
       if (beat == last_beat[i] && has_work) {
         // Worker hasn't ticked since the last sample while its ring
         // holds work: count toward a stall verdict.
         if (++stagnant[i] >= opts_.watchdog_stall_intervals &&
-            !s.stalled.load(std::memory_order_relaxed)) {
-          s.stalled.store(true, std::memory_order_relaxed);
-          s.stall_events.fetch_add(1, std::memory_order_relaxed);
-          if (tele_ != nullptr) {
-            tele_->control_ring().Record(telemetry::TraceEventKind::kStall,
-                                         s.index, tele_->NowNs(), 0,
-                                         beat, s.queue->SizeApprox());
-          }
+            c.stalled.value() == 0) {
+          c.stalled.Set(1);
+          c.stall_events.Add();
+          tele_.control_ring().Record(telemetry::TraceEventKind::kStall,
+                                      s.index, tele_.NowNs(), 0, beat,
+                                      s.queue->SizeApprox());
         }
       } else {
         // Progress (or an empty ring): self-clear.
         stagnant[i] = 0;
-        if (s.stalled.load(std::memory_order_relaxed)) {
-          s.stalled.store(false, std::memory_order_relaxed);
-          if (tele_ != nullptr) {
-            tele_->control_ring().Record(
-                telemetry::TraceEventKind::kStallClear, s.index,
-                tele_->NowNs(), 0, beat, 0);
-          }
+        if (c.stalled.value() != 0) {
+          c.stalled.Set(0);
+          tele_.control_ring().Record(telemetry::TraceEventKind::kStallClear,
+                                      s.index, tele_.NowNs(), 0, beat, 0);
         }
       }
       last_beat[i] = beat;
@@ -882,84 +816,19 @@ void StreamServer::WatchdogLoop() {
   }
 }
 
-ServerHealth StreamServer::Health() const {
-  ServerHealth health;
-  health.running = running_.load(std::memory_order_acquire);
-  health.watchdog_checks = watchdog_checks_.load(std::memory_order_relaxed);
-  health.shards.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    ShardHealth sh;
-    sh.heartbeat = shard->heartbeat.load(std::memory_order_relaxed);
-    sh.processed = shard->processed.load(std::memory_order_relaxed);
-    sh.ring_depth = shard->queue ? shard->queue->SizeApprox() : 0;
-    sh.ring_depth_hwm =
-        shard->ring_depth_hwm.load(std::memory_order_relaxed);
-    sh.stalled = shard->stalled.load(std::memory_order_relaxed);
-    sh.stall_events = shard->stall_events.load(std::memory_order_relaxed);
-    health.stall_events += sh.stall_events;
-    if (sh.stalled) ++health.stalled_shards;
-    health.shards.push_back(sh);
-  }
-  return health;
-}
-
 telemetry::TelemetrySnapshot StreamServer::TelemetrySnapshot() const {
-  telemetry::TelemetrySnapshot snap;
-  snap.attached = tele_ != nullptr;
-  snap.sample_every = opts_.telemetry.sample_every;
-  snap.tracing = tele_ != nullptr && tele_->tracing();
+  telemetry::TelemetrySnapshot snap = tele_.Snapshot();
   snap.running = running_.load(std::memory_order_acquire);
-  snap.now_ns = tele_ != nullptr ? tele_->NowNs() : 0;
   snap.active_version = published_version_.load(std::memory_order_relaxed);
-  std::array<telemetry::HistogramSnapshot, telemetry::kNumStages> merged{};
-  snap.shards.reserve(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& shard = *shards_[i];
-    telemetry::ShardTelemetrySnapshot sh;
-    sh.heartbeat = shard.heartbeat.load(std::memory_order_relaxed);
-    sh.processed = shard.processed.load(std::memory_order_relaxed);
-    sh.ring_depth = shard.queue ? shard.queue->SizeApprox() : 0;
-    sh.ring_depth_hwm =
-        shard.ring_depth_hwm.load(std::memory_order_relaxed);
-    sh.shed_ring_full =
-        shard.shed_ring_full.load(std::memory_order_relaxed);
-    sh.shed_misrouted =
-        shard.shed_misrouted.load(std::memory_order_relaxed);
-    sh.stalled = shard.stalled.load(std::memory_order_relaxed);
-    snap.stall_events +=
-        shard.stall_events.load(std::memory_order_relaxed);
-    if (shard.tele != nullptr) {
-      sh.decisions = shard.tele->decisions.value();
-      sh.shed_inference = shard.tele->shed_inference.value();
-      sh.table_hits = shard.tele->table_hits.value();
-      sh.table_misses = shard.tele->table_misses.value();
-      for (std::size_t s = 0; s < telemetry::kNumStages; ++s) {
-        merged[s].Merge(
-            shard.tele->stages.Snapshot(static_cast<telemetry::Stage>(s)));
-      }
-      snap.trace_events_recorded += shard.tele->ring.recorded();
-    }
-    snap.packets += sh.processed;
-    snap.decisions += sh.decisions;
-    snap.shed_total +=
-        sh.shed_ring_full + sh.shed_misrouted + sh.shed_inference;
-    if (sh.stalled) ++snap.stalled_shards;
-    snap.shards.push_back(sh);
-  }
-  if (tele_ != nullptr) {
-    snap.trace_events_recorded += tele_->control_ring().recorded();
-  }
-  for (std::size_t s = 0; s < telemetry::kNumStages; ++s) {
-    snap.stages[s].stage = static_cast<telemetry::Stage>(s);
-    snap.stages[s].hist = merged[s];
-    snap.stages[s].Finish();
+    const auto& queue = shards_[i]->queue;
+    snap.shards[i].ring_depth = queue ? queue->SizeApprox() : 0;
   }
   return snap;
 }
 
 std::vector<telemetry::TraceEvent> StreamServer::DumpTrace() const {
-  if (tele_ == nullptr) return {};
-  return tele_->DumpTrace();
+  return tele_.DumpTrace();
 }
 
 void StreamServer::WriteTrace(std::ostream& os) const {
@@ -988,7 +857,9 @@ void StreamServer::WorkerLoop(Shard& shard, int cpu) {
   // processed, its flow entry is (likely) already in flight to this core's
   // cache.
   std::vector<ShardItem> burst(opts_.burst);
-  std::size_t hwm = 0;
+  const bool sampling = tele_.sample_every() != 0;
+  // Resume from the published mark, so a Stop/Start cycle never lowers it.
+  std::size_t hwm = shard.counters.ring_depth_hwm.value();
   const auto drain = [&](std::size_t n) {
     // Ring-depth high watermark: the burst in hand plus what is still
     // queued behind it. One relaxed store only when the mark moves, so
@@ -996,18 +867,17 @@ void StreamServer::WorkerLoop(Shard& shard, int cpu) {
     const std::size_t depth = n + shard.queue->SizeApprox();
     if (depth > hwm) {
       hwm = depth;
-      shard.ring_depth_hwm.store(depth, std::memory_order_relaxed);
+      shard.counters.ring_depth_hwm.Set(depth);
     }
-    if (shard.tele != nullptr) {
+    if (sampling) {
       // Ring dwell closes here for every sampled packet in the burst —
       // one clock read per burst, u32 wrap-safe subtraction per packet.
-      const std::uint32_t pop32 =
-          static_cast<std::uint32_t>(tele_->NowNs());
+      const auto pop32 = static_cast<std::uint32_t>(tele_.NowNs());
       for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t stamp = burst[i].packet.tele_stamp;
         if (stamp != 0 && !burst[i].swap) {
-          shard.tele->stages.Record(telemetry::Stage::kRingDwell,
-                                    pop32 - stamp);
+          shard.tele.stages.Record(telemetry::Stage::kRingDwell,
+                                   pop32 - stamp);
         }
       }
     }
@@ -1015,7 +885,6 @@ void StreamServer::WorkerLoop(Shard& shard, int cpu) {
       if (!burst[i].swap) shard.PrefetchFlow(burst[i].packet.key);
     }
     for (std::size_t i = 0; i < n; ++i) handle(burst[i]);
-    shard.processed.fetch_add(n, std::memory_order_relaxed);
     // Worker fault sites, after a burst so backpressure is real: kSlow is
     // a hiccup shorter than the watchdog window; kStuck freezes the
     // heartbeat long enough for the watchdog to flag (and then clear)
@@ -1033,7 +902,7 @@ void StreamServer::WorkerLoop(Shard& shard, int cpu) {
     // The heartbeat ticks every loop iteration, idle ones included: a
     // live-but-idle worker keeps beating, so the watchdog's stall signal
     // (stagnant heartbeat + non-empty ring) has no idle false positives.
-    shard.heartbeat.fetch_add(1, std::memory_order_relaxed);
+    shard.counters.heartbeat.Add();
     const std::size_t n = shard.queue->TryPopBurst(std::span<ShardItem>(burst));
     if (n != 0) {
       drain(n);
@@ -1173,44 +1042,20 @@ StreamServerStats StreamServer::Stats() const {
         "StreamServer::Stats: workers are running (Stop first)");
   }
   StreamServerStats stats;
-  const FlowStateSpec spec = OnlineFlowStateSpec(opts_.feature);
-  stats.stateful_bits_per_flow = spec.BitsPerFlow();
-  stats.active_version = serving_->version;
-  stats.watchdog_checks = watchdog_checks_.load(std::memory_order_relaxed);
-  stats.shard_shed.reserve(shards_.size());
-  stats.shard_packets.reserve(shards_.size());
+  static_cast<telemetry::TelemetrySnapshot&>(stats) = TelemetrySnapshot();
+  stats.shed = {stats.shed_ring_full, stats.shed_misrouted,
+                stats.shed_inference};
+  stats.swap_wall_ms = static_cast<double>(stats.swap_wall_ns) / 1e6;
+  stats.stateful_bits_per_flow =
+      OnlineFlowStateSpec(opts_.feature).BitsPerFlow();
   for (const auto& shard : shards_) {
-    stats.packets += shard->packets;
-    stats.shard_packets.push_back(shard->packets);
-    stats.warmup += shard->warmup;
-    stats.decisions += shard->decided;
-    stats.batches += shard->batches;
-    const ShedStats shed{
-        shard->shed_ring_full.load(std::memory_order_relaxed),
-        shard->shed_misrouted.load(std::memory_order_relaxed),
-        shard->shed_inference};
-    stats.shed += shed;
-    stats.shard_shed.push_back(shed);
-    stats.inference_faults += shard->inference_faults;
-    stats.batches_dropped += shard->batches_dropped;
-    stats.stall_events +=
-        shard->stall_events.load(std::memory_order_relaxed);
     stats.table += shard->TableStats();
     stats.engine += shard->engine_carry;
     stats.engine += shard->engine->stats();
-    stats.flows_resident += shard->FlowsResident();
     stats.flow_table_sram_bits +=
         shard->TableSramBits(stats.stateful_bits_per_flow);
-    stats.swaps += shard->swaps;
-    stats.swap_wall_ms += shard->swap_wall_ms;
   }
-  stats.delta_swaps = delta_swaps_;
-  stats.delta_bytes_pushed = delta_bytes_pushed_;
-  stats.deltas_applied = deltas_applied_;
-  stats.leaf_words_patched = leaf_words_patched_;
-  stats.reseals_avoided = reseals_avoided_;
-  stats.delta_apply_ns = delta_apply_ns_;
-  stats.delta_swap_wall_ms = delta_swap_wall_ms_;
+  stats.delta = delta_;
   return stats;
 }
 
@@ -1219,34 +1064,13 @@ void StreamServer::ResetStats() {
     throw std::logic_error(
         "StreamServer::ResetStats: workers are running (Stop first)");
   }
+  tele_.Reset();
   for (auto& shard : shards_) {
-    shard->packets = 0;
-    shard->warmup = 0;
-    shard->batches = 0;
-    shard->decided = 0;
-    shard->swaps = 0;
-    shard->swap_wall_ms = 0.0;
-    shard->shed_ring_full.store(0, std::memory_order_relaxed);
-    shard->shed_misrouted.store(0, std::memory_order_relaxed);
-    shard->shed_inference = 0;
-    shard->inference_faults = 0;
-    shard->batches_dropped = 0;
-    shard->stall_events.store(0, std::memory_order_relaxed);
-    shard->stalled.store(false, std::memory_order_relaxed);
-    shard->ring_depth_hwm.store(0, std::memory_order_relaxed);
     shard->ResetTableStats();
     shard->engine_carry = {};
     shard->engine->ResetStats();
   }
-  if (tele_ != nullptr) tele_->Reset();
-  delta_swaps_ = 0;
-  delta_bytes_pushed_ = 0;
-  deltas_applied_ = 0;
-  leaf_words_patched_ = 0;
-  reseals_avoided_ = 0;
-  delta_apply_ns_ = 0;
-  delta_swap_wall_ms_ = 0.0;
-  watchdog_checks_.store(0, std::memory_order_relaxed);
+  delta_ = {};
 }
 
 }  // namespace pegasus::runtime

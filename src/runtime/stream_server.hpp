@@ -44,24 +44,30 @@
 // spin, then sched_yield, then exponential-backoff sleeps — and only once
 // the whole ladder is exhausted with zero progress does it shed the
 // packets instead of stalling the whole ingest loop, counting them per
-// shard and per reason (StreamServerStats::shed / shard_shed). Shedding is
-// OFF by default — ingest then parks at the ladder's top rung and retries
-// forever (pure backpressure), the configuration under which MT == ST
-// decision equality is exact: the ladder changes only timing, never
-// outcomes.
+// shard and per reason (the shed_* counters; StreamServerStats::shed sums
+// them). Shedding is OFF by default — ingest then parks at the ladder's
+// top rung and retries forever (pure backpressure), the configuration
+// under which MT == ST decision equality is exact: the ladder changes only
+// timing, never outcomes.
 //
 // Self-healing (fault story, see runtime/fault.hpp and tests/
-// test_fault.cpp): every shard worker maintains heartbeat/progress
-// counters; a watchdog thread samples them and flags a shard whose
-// heartbeat stagnates while its ring holds work (stall detection is
-// self-clearing when the worker resumes). Health() reports the per-shard
-// picture lock-free WHILE the server runs — unlike Stats(), which needs
-// quiescence. A batch whose engine throws is retried on a bounded
-// backoff ladder and then shed (counted as ShedStats::inference), so a
-// transient inference fault degrades throughput, never liveness. SwapModel
-// is transactional: a publish failure anywhere rolls every shard back to
-// the serving model and surfaces SwapError — the server never runs mixed
-// versions and never loses its serving model to a failed push.
+// test_fault.cpp): every shard worker ticks a heartbeat; a watchdog thread
+// samples it and flags a shard whose heartbeat stagnates while its ring
+// holds work (stall detection is self-clearing when the worker resumes).
+// A batch whose engine throws is retried on a bounded backoff ladder and
+// then shed (counted as ShedStats::inference), so a transient inference
+// fault degrades throughput, never liveness. SwapModel is transactional: a
+// publish failure anywhere rolls every shard back to the serving model and
+// surfaces SwapError — the server never runs mixed versions and never
+// loses its serving model to a failed push.
+//
+// Metrics: every serving counter has exactly one home, a per-shard block
+// of relaxed-atomic cells (telemetry::ShardCounters, fields listed once in
+// PEGASUS_SHARD_COUNTERS). TelemetrySnapshot() is the one reader of those
+// blocks and works at any time, also while the server runs; Stats() is
+// that snapshot plus the worker-private flow-table, engine and occupancy
+// numbers, so it needs a stopped server; Health() is another name for
+// TelemetrySnapshot().
 //
 // Bit-exactness: with a large enough flow table (no evictions) the per-
 // packet decisions equal the offline Extract*Features +
@@ -221,11 +227,9 @@ struct StreamServerOptions {
   /// list[i % list.size()]. An empty ingest list leaves ingest unpinned.
   std::vector<int> worker_cpus;
   std::vector<int> ingest_cpus;
-  /// Observability (src/telemetry/): stage-latency sampling, flight-
-  /// recorder tracing, live counters. Default-constructed = detached =
-  /// the zero-overhead shape (one null-pointer test per packet); see
-  /// telemetry::TelemetryOptions. MT == ST decision equality holds at
-  /// every setting — telemetry observes, never steers.
+  /// Stage-latency sampling and flight-recorder tracing (src/telemetry/;
+  /// both off by default — the counters are always on). MT == ST decision
+  /// equality holds at every setting: telemetry observes, never steers.
   telemetry::TelemetryOptions telemetry;
 };
 
@@ -264,9 +268,12 @@ struct ServingState {
 /// Packets dropped instead of decided, by reason. ring_full and misrouted
 /// are shed near the source (never enqueued); inference is shed at the
 /// shard (processed into a batch whose engine kept failing). The exact
-/// accounting identity the fault soak pins down:
+/// accounting identities the fault soak pins down, per shard and in
+/// aggregate:
 ///   offered == stats.packets + shed.ring_full + shed.misrouted
 ///   stats.packets == stats.decisions + stats.warmup + shed.inference
+/// The second one also holds live as an inequality (<=) in every
+/// TelemetrySnapshot row (see telemetry::ShardCounters).
 struct ShedStats {
   /// Ring stayed full through the whole escalation ladder with zero
   /// progress (overload; only with StreamServerOptions::shed).
@@ -281,69 +288,33 @@ struct ShedStats {
   std::uint64_t inference = 0;
 
   std::uint64_t total() const { return ring_full + misrouted + inference; }
-  ShedStats& operator+=(const ShedStats& o) {
-    ring_full += o.ring_full;
-    misrouted += o.misrouted;
-    inference += o.inference;
-    return *this;
-  }
 };
 
-/// One shard's liveness picture, sampled lock-free from the worker's
-/// progress counters (see ServerHealth).
-struct ShardHealth {
-  /// Worker loop iterations (ticks even when idle — a live-but-idle
-  /// worker keeps beating; only a genuinely wedged one goes quiet).
-  std::uint64_t heartbeat = 0;
-  /// Ring items the worker has handled (packets + control items).
-  std::uint64_t processed = 0;
-  /// Approximate ring occupancy right now.
-  std::size_t ring_depth = 0;
-  /// High-watermark ring occupancy observed by the worker since the last
-  /// ResetStats(): the burst size in hand plus what remained queued at
-  /// each drain. An instantaneous ring_depth misses transients entirely;
-  /// the HWM is the backlog signal capacity planning actually wants.
-  /// Always tracked (telemetry attached or not); 0 in single-threaded
-  /// mode (no ring).
-  std::size_t ring_depth_hwm = 0;
-  /// The watchdog's current verdict: heartbeat stagnant for
-  /// watchdog_stall_intervals samples while the ring held work.
-  bool stalled = false;
-  /// Times this shard has been flagged stalled (a recovered stall stays
-  /// counted).
-  std::uint64_t stall_events = 0;
+/// O(delta) update accounting (SwapModelDelta), kept on the producer
+/// thread: successful delta publishes, the control-plane bytes they
+/// pushed, the dataplane's own delta counters aggregated from each patched
+/// model's match indexes (Pipeline::MatchIndexReport) — leaf words
+/// rewritten in place, full reseals avoided — and clone+patch time.
+struct DeltaSwapStats {
+  std::uint64_t swaps = 0;
+  std::uint64_t bytes_pushed = 0;
+  std::uint64_t deltas_applied = 0;
+  std::uint64_t leaf_words_patched = 0;
+  std::uint64_t reseals_avoided = 0;
+  std::uint64_t apply_ns = 0;
+  double wall_ms = 0.0;
 };
 
-/// Server liveness report. Unlike Stats() this is readable WHILE the
-/// server runs — every field loads from an atomic — so an operator (or
-/// the fault soak) can watch a live dataplane degrade and recover.
-struct ServerHealth {
-  bool running = false;
-  std::uint64_t watchdog_checks = 0;
-  /// Sum of per-shard stall_events.
-  std::uint64_t stall_events = 0;
-  /// Shards currently flagged stalled.
-  std::size_t stalled_shards = 0;
-  std::vector<ShardHealth> shards;
-
-  /// No shard is currently wedged (historical, recovered stalls are fine).
-  bool healthy() const { return stalled_shards == 0; }
-};
-
-struct StreamServerStats {
-  std::uint64_t packets = 0;
-  /// Packets that produced an inference (window full, batched + flushed).
-  std::uint64_t decisions = 0;
-  /// Packets absorbed into per-flow state before the window filled.
-  std::uint64_t warmup = 0;
-  std::uint64_t batches = 0;
-  /// Packets shed at ingest, aggregated / per shard. packets + shed.total()
-  /// equals the offered load.
+/// The quiesced report: the telemetry snapshot (every counter, server-wide
+/// and per shard in `shards`, plus stage histograms) and what only a
+/// stopped server can read.
+struct StreamServerStats : telemetry::TelemetrySnapshot {
+  /// The snapshot's shed_* counters as one struct.
   ShedStats shed;
-  std::vector<ShedStats> shard_shed;
-  /// Per-shard processed-packet counts (same indexing as shard_shed), so
-  /// the offered == packets + shed identity can be checked shard by shard.
-  std::vector<std::uint64_t> shard_packets;
+  /// swap_wall_ns in milliseconds: the serving gap shards spent flushing
+  /// and rebuilding engines across all swap applies (one SwapModel call =
+  /// num_shards applies; a rolled-back swap counts forward and rollback).
+  double swap_wall_ms = 0.0;
   /// Aggregated over all shards, occupancy snapshot included
   /// (table.resident / table.slots sum each shard's live entries and
   /// capacity, so table.LoadFactor() is the server-wide load factor; the
@@ -353,41 +324,11 @@ struct StreamServerStats {
   /// model swaps (engines retired by SwapModel fold their counters into a
   /// per-shard carry, so every inferred packet stays accounted).
   InferenceEngine::Stats engine;
-  std::size_t flows_resident = 0;
   /// Register accounting: logical bits per flow and the SRAM footprint of
   /// all shards' flow tables (dataplane::FlowTableSramBits).
   std::size_t stateful_bits_per_flow = 0;
   std::size_t flow_table_sram_bits = 0;
-  /// Model lifecycle: swap applications summed over shards (one SwapModel
-  /// call = num_shards applications; a rolled-back swap counts its
-  /// forward and rollback rebuilds) and the total wall time shards spent
-  /// flushing + rebuilding engines, i.e. the per-shard serving gap.
-  std::uint64_t swaps = 0;
-  double swap_wall_ms = 0.0;
-  /// O(delta) update path (SwapModelDelta): successful delta publishes,
-  /// the control-plane bytes they pushed, and the dataplane's own delta
-  /// counters aggregated from the patched model's match indexes
-  /// (Pipeline::IndexReport) — leaf words rewritten in place, full
-  /// reseals avoided, and clone+patch wall time on the producer thread.
-  std::uint64_t delta_swaps = 0;
-  std::uint64_t delta_bytes_pushed = 0;
-  std::uint64_t deltas_applied = 0;
-  std::uint64_t leaf_words_patched = 0;
-  std::uint64_t reseals_avoided = 0;
-  std::uint64_t delta_apply_ns = 0;
-  double delta_swap_wall_ms = 0.0;
-  /// Version of the model the server is currently serving.
-  std::uint64_t active_version = 0;
-  /// Self-healing counters: Infer() exceptions absorbed (including ones a
-  /// retry recovered), batches dropped after the retry ladder, watchdog
-  /// samples taken, and stall flags raised across the run.
-  std::uint64_t inference_faults = 0;
-  std::uint64_t batches_dropped = 0;
-  std::uint64_t watchdog_checks = 0;
-  std::uint64_t stall_events = 0;
-
-  /// Zeroes every counter (a fresh value-initialized snapshot).
-  void Reset() { *this = {}; }
+  DeltaSwapStats delta;
 };
 
 class StreamServer {
@@ -506,38 +447,33 @@ class StreamServer {
   /// (the shards are owned by their worker threads until Stop()).
   std::vector<StreamDecision> TakeDecisions();
 
-  /// Aggregated over shards. Throws std::logic_error while workers are
-  /// running — reading shard counters mid-run would race the workers.
+  /// TelemetrySnapshot() plus the flow tables, engines and register
+  /// accounting. Throws std::logic_error while workers are running —
+  /// those live on the worker threads.
   StreamServerStats Stats() const;
 
-  /// Liveness report, callable from any thread at any time (including
-  /// while workers run — every field is sampled from atomics). This is
-  /// the observer the watchdog feeds; Stats() remains the quiesced,
-  /// exact-counters view.
-  ServerHealth Health() const;
-
-  /// Live observability snapshot: merged per-stage latency histograms
-  /// with p50/p90/p99/p999, per-shard counters/gauges (processed,
-  /// decisions, ring depth + high watermark, shed, table hit/miss) and
-  /// trace-ring occupancy. Same callable-anytime contract as Health() —
-  /// every source field is an atomic. With telemetry detached
-  /// (options().telemetry.Attached() == false) only the health-backed
-  /// fields are populated and `attached` is false. Serialize with
-  /// telemetry::WriteJson / WritePrometheus.
+  /// The live view, callable from any thread at any time (including while
+  /// workers run — every source is an atomic): every serving counter per
+  /// shard and folded server-wide, watchdog state (stalled, stall_events,
+  /// watchdog_checks, healthy()), ring depth, merged per-stage latency
+  /// histograms with p50/p90/p99/p999, and trace-ring occupancy. Serialize
+  /// with telemetry::WriteJson / WritePrometheus.
   telemetry::TelemetrySnapshot TelemetrySnapshot() const;
+  /// Same as TelemetrySnapshot(), under the name existing callers use.
+  telemetry::TelemetrySnapshot Health() const { return TelemetrySnapshot(); }
 
-  /// Merged, time-ordered flight-recorder dump (empty when telemetry is
-  /// detached or trace_events == 0). Callable while running.
+  /// Merged, time-ordered flight-recorder dump (empty when
+  /// trace_events == 0). Callable while running.
   std::vector<telemetry::TraceEvent> DumpTrace() const;
 
   /// DumpTrace() serialized as the structured trace JSON that
   /// tools/trace_to_chrome.py converts for Perfetto.
   void WriteTrace(std::ostream& os) const;
 
-  /// Zeroes the per-shard packet/decision/batch/swap/shed counters, the
-  /// flow tables' stats and the engines' work counters — resident flow
-  /// state and the active model stay untouched, so callers can report
-  /// per-phase numbers (e.g. before vs after a swap). Throws
+  /// Zeroes every counter, histogram and trace ring, the flow tables'
+  /// stats, the engines' work counters and the delta accounting —
+  /// resident flow state and the active model stay untouched, so callers
+  /// can report per-phase numbers (e.g. before vs after a swap). Throws
   /// std::logic_error while workers are running.
   void ResetStats();
 
@@ -582,24 +518,15 @@ class StreamServer {
   /// references; in MT mode the handle reaches them in-band through the
   /// rings, so no cross-thread load happens on the hot path).
   std::shared_ptr<const ServingState> serving_;
-  /// Producer-side O(delta) accounting (written only by SwapModelDelta on
-  /// the producer thread, read by the quiesced Stats()): successful delta
-  /// publishes, bytes pushed, match-index delta counters accumulated from
-  /// each patched clone, and clone+patch wall time.
-  std::uint64_t delta_swaps_ = 0;
-  std::uint64_t delta_bytes_pushed_ = 0;
-  std::uint64_t deltas_applied_ = 0;
-  std::uint64_t leaf_words_patched_ = 0;
-  std::uint64_t reseals_avoided_ = 0;
-  std::uint64_t delta_apply_ns_ = 0;
-  double delta_swap_wall_ms_ = 0.0;
+  /// Written only by SwapModelDelta on the producer thread; read by the
+  /// quiesced Stats().
+  DeltaSwapStats delta_;
   /// Per-thread CPU assignment resolved from opts_.pin_policy at
   /// construction (-1 entries = unpinned).
   PinPlan pin_plan_;
-  /// Observability (null when opts_.telemetry is detached — the hot-path
-  /// cost of "off" is one pointer test). Shards hold a raw pointer to
-  /// their block; the control ring takes producer/watchdog events.
-  std::unique_ptr<telemetry::ServerTelemetry> tele_;
+  /// Counters, histograms and trace rings; shards hold a reference to
+  /// their block, the control ring takes producer/watchdog events.
+  telemetry::ServerTelemetry tele_;
   /// Producer-side 1-in-N countdown for Push() (both modes; the ingest
   /// threads carry their own).
   telemetry::Sampler push_sampler_;
@@ -608,14 +535,13 @@ class StreamServer {
   std::atomic<std::uint64_t> published_version_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> closed_{false};
-  /// Written by Start/Stop on the producer thread; atomic so Health() can
-  /// read it from any thread.
+  /// Written by Start/Stop on the producer thread; atomic so
+  /// TelemetrySnapshot() can read it from any thread.
   std::atomic<bool> running_{false};
   /// Watchdog thread (MT mode, watchdog_interval_us > 0): samples shard
   /// heartbeats, flags/clears stalls.
   std::thread watchdog_;
   std::atomic<bool> watchdog_stop_{false};
-  std::atomic<std::uint64_t> watchdog_checks_{0};
 };
 
 }  // namespace pegasus::runtime

@@ -3,75 +3,20 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
 
 namespace pegasus::telemetry {
 
-void StageSnapshot::Finish() {
-  count = hist.count;
-  mean_ns = hist.Mean();
-  p50_ns = hist.Quantile(0.50);
-  p90_ns = hist.Quantile(0.90);
-  p99_ns = hist.Quantile(0.99);
-  p999_ns = hist.Quantile(0.999);
-}
-
-double TelemetrySnapshot::HitRate() const {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  for (const auto& s : shards) {
-    hits += s.table_hits;
-    misses += s.table_misses;
-  }
-  const std::uint64_t total = hits + misses;
-  return total == 0 ? 0.0
-                    : static_cast<double>(hits) / static_cast<double>(total);
-}
-
-void WriteJson(const TelemetrySnapshot& snap, std::ostream& os) {
-  os << "{\n"
-     << "  \"attached\": " << (snap.attached ? "true" : "false") << ",\n"
-     << "  \"sample_every\": " << snap.sample_every << ",\n"
-     << "  \"tracing\": " << (snap.tracing ? "true" : "false") << ",\n"
-     << "  \"running\": " << (snap.running ? "true" : "false") << ",\n"
-     << "  \"now_ns\": " << snap.now_ns << ",\n"
-     << "  \"active_version\": " << snap.active_version << ",\n"
-     << "  \"packets\": " << snap.packets << ",\n"
-     << "  \"decisions\": " << snap.decisions << ",\n"
-     << "  \"shed_total\": " << snap.shed_total << ",\n"
-     << "  \"stall_events\": " << snap.stall_events << ",\n"
-     << "  \"stalled_shards\": " << snap.stalled_shards << ",\n"
-     << "  \"trace_events_recorded\": " << snap.trace_events_recorded
-     << ",\n"
-     << "  \"flow_table_hit_rate\": " << snap.HitRate() << ",\n"
-     << "  \"stages\": {\n";
-  for (std::size_t i = 0; i < kNumStages; ++i) {
-    const StageSnapshot& st = snap.stages[i];
-    os << "    \"" << StageName(static_cast<Stage>(i)) << "\": {"
-       << "\"count\": " << st.count << ", \"mean_ns\": " << st.mean_ns
-       << ", \"p50_ns\": " << st.p50_ns << ", \"p90_ns\": " << st.p90_ns
-       << ", \"p99_ns\": " << st.p99_ns << ", \"p999_ns\": " << st.p999_ns
-       << "}" << (i + 1 < kNumStages ? "," : "") << "\n";
-  }
-  os << "  },\n  \"shards\": [\n";
-  for (std::size_t i = 0; i < snap.shards.size(); ++i) {
-    const ShardTelemetrySnapshot& sh = snap.shards[i];
-    os << "    {\"shard\": " << i << ", \"heartbeat\": " << sh.heartbeat
-       << ", \"processed\": " << sh.processed
-       << ", \"decisions\": " << sh.decisions
-       << ", \"ring_depth\": " << sh.ring_depth
-       << ", \"ring_depth_hwm\": " << sh.ring_depth_hwm
-       << ", \"shed_ring_full\": " << sh.shed_ring_full
-       << ", \"shed_misrouted\": " << sh.shed_misrouted
-       << ", \"shed_inference\": " << sh.shed_inference
-       << ", \"table_hits\": " << sh.table_hits
-       << ", \"table_misses\": " << sh.table_misses
-       << ", \"stalled\": " << (sh.stalled ? "true" : "false") << "}"
-       << (i + 1 < snap.shards.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-}
-
 namespace {
+
+/// `"name": value` for every counter, comma-separated.
+void WriteCounterFields(const CounterValues& v, std::ostream& os) {
+  const char* sep = "";
+  for (const CounterField& f : kCounterFields) {
+    os << sep << "\"" << f.name << "\": " << v.*f.value;
+    sep = ", ";
+  }
+}
 
 void WriteHistogramProm(std::ostream& os, const char* name,
                         const HistogramSnapshot& hist,
@@ -100,31 +45,62 @@ void WriteHistogramProm(std::ostream& os, const char* name,
 
 }  // namespace
 
+void WriteJson(const TelemetrySnapshot& snap, std::ostream& os) {
+  os << "{\n"
+     << "  \"sample_every\": " << snap.sample_every << ",\n"
+     << "  \"tracing\": " << (snap.tracing ? "true" : "false") << ",\n"
+     << "  \"running\": " << (snap.running ? "true" : "false") << ",\n"
+     << "  \"now_ns\": " << snap.now_ns << ",\n"
+     << "  \"active_version\": " << snap.active_version << ",\n"
+     << "  \"watchdog_checks\": " << snap.watchdog_checks << ",\n"
+     << "  \"trace_events_recorded\": " << snap.trace_events_recorded
+     << ",\n"
+     << "  \"flow_table_hit_rate\": " << snap.HitRate() << ",\n  ";
+  WriteCounterFields(snap, os);
+  os << ",\n  \"stages\": {\n";
+  for (std::size_t i = 0; i < kNumStages; ++i) {
+    const StageSnapshot& st = snap.stages[i];
+    os << "    \"" << StageName(static_cast<Stage>(i)) << "\": {"
+       << "\"count\": " << st.count << ", \"mean_ns\": " << st.mean_ns
+       << ", \"p50_ns\": " << st.p50_ns << ", \"p90_ns\": " << st.p90_ns
+       << ", \"p99_ns\": " << st.p99_ns << ", \"p999_ns\": " << st.p999_ns
+       << "}" << (i + 1 < kNumStages ? "," : "") << "\n";
+  }
+  os << "  },\n  \"shards\": [\n";
+  for (std::size_t i = 0; i < snap.shards.size(); ++i) {
+    const ShardTelemetrySnapshot& sh = snap.shards[i];
+    os << "    {\"shard\": " << i << ", \"ring_depth\": " << sh.ring_depth
+       << ", ";
+    WriteCounterFields(sh, os);
+    os << "}" << (i + 1 < snap.shards.size() ? "," : "") << "\n";
+  }
+  os << "  ]\n}\n";
+}
+
 void WritePrometheus(const TelemetrySnapshot& snap, std::ostream& os) {
-  os << "# TYPE pegasus_packets_total counter\n"
-     << "pegasus_packets_total " << snap.packets << "\n"
-     << "# TYPE pegasus_decisions_total counter\n"
-     << "pegasus_decisions_total " << snap.decisions << "\n"
-     << "# TYPE pegasus_shed_total counter\n"
-     << "pegasus_shed_total " << snap.shed_total << "\n"
-     << "# TYPE pegasus_stall_events_total counter\n"
-     << "pegasus_stall_events_total " << snap.stall_events << "\n"
-     << "# TYPE pegasus_active_version gauge\n"
-     << "pegasus_active_version " << snap.active_version << "\n"
-     << "# TYPE pegasus_stalled_shards gauge\n"
-     << "pegasus_stalled_shards " << snap.stalled_shards << "\n"
-     << "# TYPE pegasus_flow_table_hit_rate gauge\n"
-     << "pegasus_flow_table_hit_rate " << snap.HitRate() << "\n";
+  for (const CounterField& f : kCounterFields) {
+    const bool counter = f.kind == CounterKind::kCounter;
+    const std::string family =
+        std::string("pegasus_") + f.name + (counter ? "_total" : "");
+    os << "# HELP " << family << " " << f.help << "\n"
+       << "# TYPE " << family << (counter ? " counter\n" : " gauge\n")
+       << family << " " << snap.*f.value << "\n";
+    for (std::size_t i = 0; i < snap.shards.size(); ++i) {
+      os << family << "{shard=\"" << i << "\"} " << snap.shards[i].*f.value
+         << "\n";
+    }
+  }
   os << "# TYPE pegasus_ring_depth gauge\n";
   for (std::size_t i = 0; i < snap.shards.size(); ++i) {
     os << "pegasus_ring_depth{shard=\"" << i << "\"} "
        << snap.shards[i].ring_depth << "\n";
   }
-  os << "# TYPE pegasus_ring_depth_hwm gauge\n";
-  for (std::size_t i = 0; i < snap.shards.size(); ++i) {
-    os << "pegasus_ring_depth_hwm{shard=\"" << i << "\"} "
-       << snap.shards[i].ring_depth_hwm << "\n";
-  }
+  os << "# TYPE pegasus_active_version gauge\n"
+     << "pegasus_active_version " << snap.active_version << "\n"
+     << "# TYPE pegasus_watchdog_checks_total counter\n"
+     << "pegasus_watchdog_checks_total " << snap.watchdog_checks << "\n"
+     << "# TYPE pegasus_flow_table_hit_rate gauge\n"
+     << "pegasus_flow_table_hit_rate " << snap.HitRate() << "\n";
   os << "# TYPE pegasus_stage_latency_seconds histogram\n";
   for (std::size_t i = 0; i < kNumStages; ++i) {
     WriteHistogramProm(os, "pegasus_stage_latency_seconds",
@@ -176,20 +152,18 @@ void StatsReporter::EmitLine(const TelemetrySnapshot& cur) {
         static_cast<double>(cur.now_ns - last_.now_ns) * 1e-9;
     pps = static_cast<double>(cur.packets - last_.packets) / dt;
     shed_rate =
-        static_cast<double>(cur.shed_total - last_.shed_total) / dt;
+        static_cast<double>(cur.shed_total() - last_.shed_total()) / dt;
   }
   std::size_t depth = 0;
-  std::size_t hwm = 0;
-  for (const auto& sh : cur.shards) {
-    depth = std::max(depth, sh.ring_depth);
-    hwm = std::max(hwm, sh.ring_depth_hwm);
-  }
+  for (const auto& sh : cur.shards) depth = std::max(depth, sh.ring_depth);
   const StageSnapshot& e2e = cur.stage(Stage::kEndToEnd);
   char line[256];
   std::snprintf(line, sizeof(line),
                 "[telemetry] pps=%.0f shed/s=%.0f ring=%zu hwm=%zu "
                 "hit=%.3f e2e_p50=%.0fns p99=%.0fns p999=%.0fns v=%llu\n",
-                pps, shed_rate, depth, hwm, cur.HitRate(), e2e.p50_ns,
+                pps, shed_rate, depth,
+                static_cast<std::size_t>(cur.ring_depth_hwm), cur.HitRate(),
+                e2e.p50_ns,
                 e2e.p99_ns, e2e.p999_ns,
                 static_cast<unsigned long long>(cur.active_version));
   os_ << line;

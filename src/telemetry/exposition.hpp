@@ -1,97 +1,31 @@
-// Exposition (ISSUE 10 tentpole part 4): the snapshot struct
-// StreamServer::TelemetrySnapshot() fills, plus JSON and Prometheus-text
-// writers over it, plus an optional background StatsReporter thread that
-// emits one line-rate summary per tick to any ostream.
-//
-// A TelemetrySnapshot is a plain value: take one at any time (including
-// while the server runs — every source field is an atomic), diff two of
-// them for rates, serialize them for artifacts. bench_stream writes one
-// to BENCH_telemetry.json; the CI latency gate compares runs by the
-// quantiles recorded here.
+// Exposition: JSON and Prometheus-text writers over a TelemetrySnapshot
+// (telemetry.hpp), plus an optional background StatsReporter thread that
+// emits one line-rate summary per tick to any ostream. bench_stream writes
+// one snapshot to BENCH_telemetry.json; the CI latency gate compares runs
+// by the quantiles recorded there.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <ostream>
-#include <string>
 #include <thread>
-#include <vector>
 
-#include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace pegasus::telemetry {
 
-/// One stage's merged histogram + extracted quantiles.
-struct StageSnapshot {
-  Stage stage = Stage::kIngestNext;
-  HistogramSnapshot hist;
-  std::uint64_t count = 0;
-  double mean_ns = 0.0;
-  double p50_ns = 0.0;
-  double p90_ns = 0.0;
-  double p99_ns = 0.0;
-  double p999_ns = 0.0;
-
-  /// Fills count/mean/quantiles from `hist`.
-  void Finish();
-};
-
-/// One shard's live row.
-struct ShardTelemetrySnapshot {
-  std::uint64_t heartbeat = 0;
-  std::uint64_t processed = 0;
-  std::uint64_t decisions = 0;
-  std::size_t ring_depth = 0;
-  std::size_t ring_depth_hwm = 0;
-  std::uint64_t shed_ring_full = 0;
-  std::uint64_t shed_misrouted = 0;
-  std::uint64_t shed_inference = 0;
-  std::uint64_t table_hits = 0;
-  std::uint64_t table_misses = 0;
-  bool stalled = false;
-};
-
-struct TelemetrySnapshot {
-  /// False when the server was built with telemetry detached (the true
-  /// zero-overhead shape): only the health-backed fields below are
-  /// populated, stage histograms and decision counters stay zero.
-  bool attached = false;
-  std::uint32_t sample_every = 0;
-  bool tracing = false;
-  /// Clock reading (ns since telemetry start) when the snapshot was
-  /// taken; diff two snapshots for rates.
-  std::uint64_t now_ns = 0;
-  std::uint64_t active_version = 0;
-  bool running = false;
-
-  std::uint64_t packets = 0;    // sum of shard processed counters
-  std::uint64_t decisions = 0;  // sum of shard decision counters (attached)
-  std::uint64_t shed_total = 0;
-  std::uint64_t stall_events = 0;
-  std::size_t stalled_shards = 0;
-  std::uint64_t trace_events_recorded = 0;
-
-  std::array<StageSnapshot, kNumStages> stages{};
-  std::vector<ShardTelemetrySnapshot> shards;
-
-  const StageSnapshot& stage(Stage s) const {
-    return stages[static_cast<std::size_t>(s)];
-  }
-  /// Flow-table hit fraction over the gauges' last publish (0 when the
-  /// tables have seen nothing).
-  double HitRate() const;
-};
-
 /// Machine-readable JSON (one object; stable key order; no dependency on
-/// a JSON library — same discipline as the bench emitters).
+/// a JSON library — same discipline as the bench emitters). Every counter
+/// of PEGASUS_SHARD_COUNTERS appears under its own name, server-wide at the
+/// top level and per shard in the `shards` rows.
 void WriteJson(const TelemetrySnapshot& snap, std::ostream& os);
 
-/// Prometheus text exposition format (# TYPE lines + samples; histograms
-/// as cumulative le-labelled buckets in seconds, counters as _total).
+/// Prometheus text exposition format. One family per counter (see
+/// PEGASUS_SHARD_COUNTERS for names and types): an unlabelled sample with
+/// the server-wide value, then one sample per shard labelled shard="i".
+/// Stage histograms are cumulative le-labelled buckets in seconds.
 void WritePrometheus(const TelemetrySnapshot& snap, std::ostream& os);
 
 /// Background reporter: calls `take` every `interval_ms` and writes one

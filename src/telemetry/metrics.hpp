@@ -2,11 +2,10 @@
 // part 1). Everything here is built for ONE discipline: writers on the
 // hot path pay a relaxed atomic add (no locks, no allocation, no fences
 // stronger than relaxed), and readers may snapshot from any thread WHILE
-// writers run — the same contract as ServerHealth, not the quiesced
-// Stats(). Values observed mid-run are individually exact but mutually
-// unordered (a snapshot is not a cross-counter consistent cut); that is
-// the right trade for live observability, and tests only assert exact
-// totals after quiescence.
+// writers run. Values observed mid-run are individually exact and
+// monotone; across cells only the orderings a writer publishes with
+// release hold (telemetry.hpp's ShardCounters uses that for the live
+// accounting identity).
 //
 // The histogram is log2-bucketed: Record(v) lands v in bucket
 // bit_width(v) (bucket 0 holds exactly {0}, bucket k>=1 holds
@@ -27,34 +26,32 @@
 
 namespace pegasus::telemetry {
 
-/// Monotonic event count. Cache-line padded so adjacent counters written
-/// by different threads never false-share.
-class alignas(64) Counter {
+/// One relaxed-atomic counter cell. Cells are not padded: a block of them
+/// (telemetry.hpp's ShardCounters) shares cache lines, and the block is
+/// what gets cache-line aligned. Writers follow the single-writer
+/// discipline — a relaxed load + store, never a locked read-modify-write —
+/// except AddShared, for the rare cell several threads bump. Any thread
+/// may read at any time.
+class Cell {
  public:
-  void Add(std::uint64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
-  void Increment() { Add(1); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
-/// Last-write-wins instantaneous value, plus a monotone-max variant for
-/// high-watermark tracking (single-writer: the owning thread updates,
-/// anyone reads).
-class alignas(64) Gauge {
- public:
-  void Set(std::uint64_t v) { v_.store(v, std::memory_order_relaxed); }
-  /// Raise-only update. Single-writer discipline (no CAS): the owning
-  /// thread is the only caller, observers just load.
-  void UpdateMax(std::uint64_t v) {
-    if (v > v_.load(std::memory_order_relaxed)) {
-      v_.store(v, std::memory_order_relaxed);
-    }
+  void Add(std::uint64_t n = 1) {
+    v_.store(v_.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
   }
+  /// Add whose new value is published with release: a reader that
+  /// acquire-loads it also sees every earlier write of the same writer.
+  void AddRelease(std::uint64_t n = 1) {
+    v_.store(v_.load(std::memory_order_relaxed) + n,
+             std::memory_order_release);
+  }
+  /// Multi-writer add.
+  void AddShared(std::uint64_t n) {
+    v_.fetch_add(n, std::memory_order_relaxed);
+  }
+  void Set(std::uint64_t v) { v_.store(v, std::memory_order_relaxed); }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
+  std::uint64_t Acquire() const { return v_.load(std::memory_order_acquire); }
+  void Reset() { Set(0); }
 
  private:
   std::atomic<std::uint64_t> v_{0};

@@ -365,7 +365,7 @@ TEST(FaultWatchdog, FlagsStuckWorkerThenSelfClears) {
   // Push a prefix smaller than the ring so Push never blocks: the worker
   // freezes after its first burst with the rest still queued, which is
   // exactly the watchdog's "stagnant heartbeat + pending work" condition —
-  // and the producer is free to poll Health() during the stall.
+  // and the producer is free to poll TelemetrySnapshot() during the stall.
   const std::size_t pushed = std::min<std::size_t>(fx.trace.size(), 1000);
   for (std::size_t i = 0; i < pushed; ++i) server.Push(fx.trace[i]);
 
@@ -373,9 +373,9 @@ TEST(FaultWatchdog, FlagsStuckWorkerThenSelfClears) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
-    const auto health = server.Health();
+    const auto health = server.TelemetrySnapshot();
     ASSERT_TRUE(health.running);
-    if (health.stalled_shards > 0) {
+    if (!health.healthy()) {
       saw_stall = true;
       EXPECT_TRUE(health.shards[0].stalled);
       EXPECT_GE(health.stall_events, 1u);
@@ -388,8 +388,8 @@ TEST(FaultWatchdog, FlagsStuckWorkerThenSelfClears) {
   // Once the sleep ends the worker drains and the flag self-clears.
   bool cleared = false;
   while (std::chrono::steady_clock::now() < deadline) {
-    const auto health = server.Health();
-    if (health.stalled_shards == 0 && health.shards[0].ring_depth == 0) {
+    const auto health = server.TelemetrySnapshot();
+    if (health.healthy() && health.shards[0].ring_depth == 0) {
       cleared = true;
       break;
     }
@@ -402,11 +402,10 @@ TEST(FaultWatchdog, FlagsStuckWorkerThenSelfClears) {
   EXPECT_GE(stats.stall_events, 1u);
   EXPECT_GT(stats.watchdog_checks, 0u);
   EXPECT_EQ(stats.packets, pushed);
-  const auto health = server.Health();
+  const auto health = server.TelemetrySnapshot();
   EXPECT_FALSE(health.running);
   EXPECT_TRUE(health.healthy()) << "quiesced server must report healthy";
-  // Progress counters round-trip through Health too.
-  EXPECT_EQ(health.shards[0].processed, pushed);
+  EXPECT_EQ(health.shards[0].packets, pushed);
 }
 
 // ---------------------------------------------------------------------------
@@ -517,7 +516,7 @@ TEST(FaultSoak, RandomizedPlansNeverBreakAccountingOrHealth) {
     }
 
     // Always ends healthy: drained, quiesced, no stuck flags.
-    const auto health = server.Health();
+    const auto health = server.TelemetrySnapshot();
     EXPECT_FALSE(health.running);
     EXPECT_TRUE(health.healthy());
     for (const auto& sh : health.shards) {

@@ -395,8 +395,8 @@ TEST(StreamServer, ResetStatsReportsPerPhaseCounters) {
   EXPECT_EQ(cleared.table.inserts, 0u);
   EXPECT_EQ(cleared.swaps, 0u);
   // Resident flow state is NOT reset — only the counters are.
-  EXPECT_GT(cleared.flows_resident, 0u);
-  EXPECT_EQ(cleared.flows_resident, phase1.flows_resident);
+  EXPECT_GT(cleared.table.resident, 0u);
+  EXPECT_EQ(cleared.table.resident, phase1.table.resident);
 
   // Phase 2 counts only its own work; resident windows keep serving (the
   // phase-2 warm-up count stays below a cold start's).
@@ -405,12 +405,6 @@ TEST(StreamServer, ResetStatsReportsPerPhaseCounters) {
   const auto phase2 = server.Stats();
   EXPECT_EQ(phase2.packets, trace.size() - half);
   EXPECT_EQ(phase2.decisions + phase2.warmup, phase2.packets);
-
-  // StreamServerStats::Reset zeroes a snapshot in place.
-  auto snap = phase2;
-  snap.Reset();
-  EXPECT_EQ(snap.packets, 0u);
-  EXPECT_EQ(snap.engine.chunks, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -544,8 +538,8 @@ TEST(StreamServer, SheddingIsBoundedAndAccounted) {
   EXPECT_EQ(stats.decisions + stats.warmup, stats.packets);
   EXPECT_EQ(stats.decisions, decisions.size());
   // Per-shard breakdown sums to the aggregate.
-  ASSERT_EQ(stats.shard_shed.size(), 1u);
-  EXPECT_EQ(stats.shard_shed[0].ring_full, stats.shed.ring_full);
+  ASSERT_EQ(stats.shards.size(), 1u);
+  EXPECT_EQ(stats.shards[0].shed_ring_full, stats.shed.ring_full);
 
   // ResetStats clears the shed counters too.
   server.ResetStats();
@@ -597,19 +591,17 @@ TEST(StreamServer, ShedAccountingHoldsAcrossMidStreamSwap) {
 
   // Per-shard: each shard's offered load is exactly served + shed there,
   // and the per-shard breakdowns sum to the aggregate.
-  ASSERT_EQ(stats.shard_packets.size(), opts.num_shards);
-  ASSERT_EQ(stats.shard_shed.size(), opts.num_shards);
-  rt::ShedStats shed_sum;
+  ASSERT_EQ(stats.shards.size(), opts.num_shards);
+  std::uint64_t shed_sum = 0;
   std::uint64_t packet_sum = 0;
   for (std::size_t s = 0; s < opts.num_shards; ++s) {
-    EXPECT_EQ(stats.shard_packets[s] + stats.shard_shed[s].ring_full +
-                  stats.shard_shed[s].misrouted,
-              offered[s])
+    const auto& sh = stats.shards[s];
+    EXPECT_EQ(sh.packets + sh.shed_ring_full + sh.shed_misrouted, offered[s])
         << "shard " << s;
-    shed_sum += stats.shard_shed[s];
-    packet_sum += stats.shard_packets[s];
+    shed_sum += sh.shed_ring_full + sh.shed_misrouted + sh.shed_inference;
+    packet_sum += sh.packets;
   }
-  EXPECT_EQ(shed_sum.total(), stats.shed.total());
+  EXPECT_EQ(shed_sum, stats.shed.total());
   EXPECT_EQ(packet_sum, stats.packets);
 
   // The swap actually took effect mid-stream: both versions decided.
@@ -997,12 +989,12 @@ TEST(StreamServerDelta, DeltaSwapMatchesFullSwapDecisionForDecision) {
       EXPECT_EQ(run.stats.active_version, 2u);
       EXPECT_EQ(run.stats.swaps, shards)
           << "delta swap still rebuilds one engine per shard";
-      EXPECT_EQ(run.stats.delta_swaps, 1u);
-      EXPECT_EQ(run.stats.delta_bytes_pushed, fx.plan_bytes)
+      EXPECT_EQ(run.stats.delta.swaps, 1u);
+      EXPECT_EQ(run.stats.delta.bytes_pushed, fx.plan_bytes)
           << "served delta cost must equal the plan's byte estimate";
-      EXPECT_GT(run.stats.deltas_applied, 0u);
-      EXPECT_GT(run.stats.leaf_words_patched, 0u);
-      EXPECT_GT(run.stats.reseals_avoided, 0u);
+      EXPECT_GT(run.stats.delta.deltas_applied, 0u);
+      EXPECT_GT(run.stats.delta.leaf_words_patched, 0u);
+      EXPECT_GT(run.stats.delta.reseals_avoided, 0u);
       SortDecisions(run.decisions);
       ASSERT_EQ(run.decisions.size(), full_run.decisions.size())
           << shards << " shards, mt=" << mt;
@@ -1031,11 +1023,11 @@ TEST(StreamServerDelta, RejectsStaleVersionsAndUnknownTables) {
   std::vector<dp::TablePatch> unknown{{"map_999", {}}};
   EXPECT_THROW(server.SwapModelDelta(unknown, 2), std::invalid_argument);
   EXPECT_EQ(server.active_version(), 1u);
-  EXPECT_EQ(server.Stats().delta_swaps, 0u);
+  EXPECT_EQ(server.Stats().delta.swaps, 0u);
   // The real patches still apply after the rejections.
   server.SwapModelDelta(fx.patches, 2);
   EXPECT_EQ(server.active_version(), 2u);
-  EXPECT_EQ(server.Stats().delta_swaps, 1u);
+  EXPECT_EQ(server.Stats().delta.swaps, 1u);
 }
 
 TEST(StreamServerDelta, PublishFailureRollsBackAndRetries) {
@@ -1055,7 +1047,7 @@ TEST(StreamServerDelta, PublishFailureRollsBackAndRetries) {
     rt::FaultScope scope(plan);
     EXPECT_THROW(server.SwapModelDelta(fx.patches, 2), rt::SwapError);
     EXPECT_EQ(server.active_version(), 1u);
-    EXPECT_EQ(server.Stats().delta_swaps, 0u)
+    EXPECT_EQ(server.Stats().delta.swaps, 0u)
         << "a rolled-back delta swap must not count as published";
     server.SwapModelDelta(fx.patches, 2);
     EXPECT_EQ(server.active_version(), 2u);
@@ -1064,7 +1056,7 @@ TEST(StreamServerDelta, PublishFailureRollsBackAndRetries) {
   server.Flush();
   auto got = server.TakeDecisions();
   SortDecisions(got);
-  EXPECT_EQ(server.Stats().delta_swaps, 1u);
+  EXPECT_EQ(server.Stats().delta.swaps, 1u);
 
   // Decisions match a clean delta run with the swap at the same boundary:
   // the failed attempt was hitless.
@@ -1096,5 +1088,5 @@ TEST(StreamServerDelta, PublishFailureRollsBackAndRetries) {
   const auto stats = mt.Stats();
   EXPECT_EQ(stats.active_version, 2u);
   EXPECT_EQ(stats.swaps, 2u) << "the failed probe never reached a ring";
-  EXPECT_EQ(stats.delta_swaps, 1u);
+  EXPECT_EQ(stats.delta.swaps, 1u);
 }

@@ -1,31 +1,36 @@
-// Telemetry acceptance (ISSUE 10):
+// Telemetry acceptance:
 //
 //  * Metrics core — log2 histogram bucket boundaries, merge and quantile
-//    properties; counter/gauge basics; sampler cadence.
+//    properties; counter cells; sampler cadence.
 //  * Flight recorder — ring retention/overflow semantics, multi-writer
 //    safety, JSON dump shape.
+//  * The counter list — one PEGASUS_SHARD_COUNTERS entry drives the block,
+//    its reset, the server-wide fold and both writers; the remaining
+//    hand-merged stats structs are pinned by sizeof.
 //  * Serving integration — sampled stage histograms populate in ST and MT
 //    runs; decisions carry end-to-end latency; MT == ST decision equality
-//    is UNCHANGED by telemetry at any setting (sampling observes, never
-//    steers); TelemetrySnapshot() is callable while the server runs (the
-//    TSan job runs this suite); swap + shed + stall lifecycle events land
-//    in the trace.
-//  * Stats audit locks (satellite): every merge/reset path is pinned by a
-//    per-field identity test plus a sizeof static_assert, so adding a
-//    field without extending the merge fails compilation here.
+//    is UNCHANGED by sampling (it observes, never steers);
+//    TelemetrySnapshot() is callable while the server runs and its
+//    accounting identities hold live (the TSan job runs this suite); the
+//    live and quiesced counts agree across a mid-stream swap; swap + shed +
+//    stall lifecycle events land in the trace.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <type_traits>
 
 #include "compiler/compiler.hpp"
 #include "core/operators.hpp"
 #include "dataplane/match_index.hpp"
 #include "eval/experiment.hpp"
+#include "runtime/fault.hpp"
 #include "runtime/stream_server.hpp"
 #include "telemetry/exposition.hpp"
 #include "telemetry/metrics.hpp"
@@ -158,26 +163,19 @@ TEST(Log2Histogram, MergeEqualsUnion) {
   EXPECT_EQ(sa.Quantile(0.99), su.Quantile(0.99));
 }
 
-TEST(Metrics, CounterAndGauge) {
-  tel::Counter c;
-  c.Increment();
-  c.Add(41);
+TEST(Metrics, CellOperations) {
+  tel::Cell c;
+  c.Add();
+  c.Add(40);
+  c.AddRelease();
   EXPECT_EQ(c.value(), 42u);
+  c.AddShared(8);
+  EXPECT_EQ(c.Acquire(), 50u);
+  c.Set(7);
+  EXPECT_EQ(c.value(), 7u);
   c.Reset();
   EXPECT_EQ(c.value(), 0u);
-
-  tel::Gauge g;
-  g.Set(7);
-  EXPECT_EQ(g.value(), 7u);
-  g.UpdateMax(3);
-  EXPECT_EQ(g.value(), 7u);  // max never lowers
-  g.UpdateMax(9);
-  EXPECT_EQ(g.value(), 9u);
-
-  // Cache-line padding keeps adjacent counters from false sharing.
-  static_assert(sizeof(tel::Counter) == 64);
-  static_assert(sizeof(tel::Gauge) == 64);
-  static_assert(alignof(tel::Counter) == 64);
+  static_assert(sizeof(tel::Cell) == 8);
 }
 
 TEST(Metrics, SamplerCadence) {
@@ -292,21 +290,49 @@ TEST(EventRing, TraceJsonShape) {
 }
 
 // ---------------------------------------------------------------------------
-// Stats audit locks (satellite): merge/reset completeness, pinned by
-// sizeof. If a PR adds a field to any of these structs, the static_assert
-// fails until the merge test (and the operator) are extended.
+// The counter list and the remaining hand-merged stats structs.
 // ---------------------------------------------------------------------------
 
-TEST(StatsAudit, ShedStatsMergesEveryField) {
-  static_assert(sizeof(rt::ShedStats) == 24,
-                "ShedStats changed: extend operator+= and this test");
-  rt::ShedStats a{1, 2, 3};
-  const rt::ShedStats b{10, 20, 30};
-  a += b;
-  EXPECT_EQ(a.ring_full, 11u);
-  EXPECT_EQ(a.misrouted, 22u);
-  EXPECT_EQ(a.inference, 33u);
-  EXPECT_EQ(a.total(), 66u);
+constexpr std::size_t kNumCounters = std::size(tel::kCounterFields);
+
+TEST(CounterList, DrivesBlockFoldAndReset) {
+  // Every list entry is a plain u64 in CounterValues and a Cell in the
+  // block, and the block is whole cache lines.
+  static_assert(sizeof(tel::CounterValues) == 8 * kNumCounters);
+  static_assert(alignof(tel::ShardCounters) == 64);
+  static_assert(sizeof(tel::ShardCounters) % 64 == 0);
+  static_assert(std::is_same_v<decltype(tel::CounterValues::ring_depth_hwm),
+                               std::size_t>);
+
+  tel::ShardCounters block;
+  tel::CounterValues a;
+  tel::CounterValues b;
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    a.*tel::kCounterFields[i].value = i + 1;
+    b.*tel::kCounterFields[i].value = 100;
+  }
+  // Load() reads every cell.
+  block.packets.Add(3);
+  block.ring_depth_hwm.Set(9);
+  block.shed_misrouted.AddShared(2);
+  const tel::CounterValues loaded = block.Load();
+  EXPECT_EQ(loaded.packets, 3u);
+  EXPECT_EQ(loaded.ring_depth_hwm, 9u);
+  EXPECT_EQ(loaded.shed_misrouted, 2u);
+  block.Reset();
+  const tel::CounterValues zero = block.Load();
+  for (const auto& f : tel::kCounterFields) {
+    EXPECT_EQ(zero.*f.value, 0u) << f.name;
+  }
+
+  // Fold: sum, except the high watermark, which takes the max.
+  a.Fold(b);
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    const auto& f = tel::kCounterFields[i];
+    const std::uint64_t want =
+        f.kind == tel::CounterKind::kHighWater ? 100 : 100 + i + 1;
+    EXPECT_EQ(a.*f.value, want) << f.name;
+  }
 }
 
 TEST(StatsAudit, FlowTableStatsMergesEveryField) {
@@ -354,24 +380,6 @@ TEST(StatsAudit, MatchIndexStatsShapeIsPinned) {
   static_assert(sizeof(pegasus::dataplane::MatchIndexStats) == 80,
                 "MatchIndexStats changed: extend Pipeline::MatchIndexReport");
   SUCCEED();
-}
-
-TEST(StatsAudit, StreamServerStatsResetIsComplete) {
-  // Reset() is `*this = {}` — complete by construction. Lock the
-  // aggregate's shape instead: the count of scalar tallies Stats() fills
-  // is pinned by sizeof, so a new counter added to the struct without a
-  // Stats()/ResetStats() pass fails here, not silently in a bench.
-  static_assert(sizeof(rt::StreamServerStats) == 448,
-                "StreamServerStats changed: update Stats(), ResetStats() "
-                "and the accounting tests");
-  rt::StreamServerStats s;
-  s.packets = 1;
-  s.delta_swaps = 2;
-  s.shard_shed.push_back({1, 2, 3});
-  s.Reset();
-  EXPECT_EQ(s.packets, 0u);
-  EXPECT_EQ(s.delta_swaps, 0u);
-  EXPECT_TRUE(s.shard_shed.empty());
 }
 
 TEST(StatsAudit, StreamDecisionAndTracePacketStayPacked) {
@@ -451,7 +459,6 @@ TEST(ServerTelemetry, SampledStagesPopulateSingleThreaded) {
   ASSERT_GT(decisions.size(), 0u);
 
   const auto snap = server.TelemetrySnapshot();
-  EXPECT_TRUE(snap.attached);
   EXPECT_EQ(snap.sample_every, 1u);
   EXPECT_TRUE(snap.tracing);
   EXPECT_EQ(snap.packets, w.trace.size());
@@ -484,40 +491,37 @@ TEST(ServerTelemetry, SampledStagesPopulateSingleThreaded) {
   EXPECT_TRUE(saw_span);
 }
 
-TEST(ServerTelemetry, DetachedServerReportsHealthOnly) {
+TEST(ServerTelemetry, UnsampledServerStillCounts) {
   const World w = MakeWorld();
-  rt::StreamServer server(w.model, BaseOpts());  // telemetry detached
+  rt::StreamServer server(w.model, BaseOpts());  // sampling + tracing off
   const auto decisions = server.Serve(w.trace);
   const auto snap = server.TelemetrySnapshot();
-  EXPECT_FALSE(snap.attached);
-  EXPECT_EQ(snap.packets, w.trace.size());  // health-backed counter works
-  EXPECT_EQ(snap.decisions, 0u);            // telemetry counters detached
+  EXPECT_FALSE(snap.tracing);
+  EXPECT_EQ(snap.packets, w.trace.size());  // counters are always on
+  EXPECT_EQ(snap.decisions, decisions.size());
   EXPECT_EQ(snap.stage(tel::Stage::kEndToEnd).count, 0u);
   EXPECT_TRUE(server.DumpTrace().empty());
   for (const auto& d : decisions) EXPECT_EQ(d.latency_ns, 0u);
 }
 
 TEST(ServerTelemetry, SamplingNeverChangesDecisions) {
-  // The zero-overhead/equality contract: decisions (flow, index,
-  // predicted, score, version) are bit-identical across telemetry off /
-  // attached-disabled / sampled, in both execution modes.
+  // The equality contract: decisions (flow, index, predicted, score,
+  // version) are bit-identical unsampled and sampled, in both execution
+  // modes.
   const World w = MakeWorld();
-  auto run = [&](bool mt, std::uint32_t sample_every, bool attach) {
+  auto run = [&](bool mt, std::uint32_t sample_every) {
     auto opts = BaseOpts();
     opts.multithreaded = mt;
     opts.telemetry.sample_every = sample_every;
-    opts.telemetry.attach = attach;
     opts.telemetry.trace_events = sample_every != 0 ? 128 : 0;
     rt::StreamServer server(w.model, opts);
     return Sorted(server.Serve(w.trace));
   };
-  const auto off = run(false, 0, false);
+  const auto off = run(false, 0);
   ASSERT_GT(off.size(), 0u);
   for (const bool mt : {false, true}) {
-    for (const auto& [every, attach] :
-         std::vector<std::pair<std::uint32_t, bool>>{
-             {0, false}, {0, true}, {7, false}, {1, false}}) {
-      const auto got = run(mt, every, attach);
+    for (const std::uint32_t every : {0u, 7u, 1u}) {
+      const auto got = run(mt, every);
       ASSERT_EQ(got.size(), off.size())
           << "mt=" << mt << " every=" << every;
       for (std::size_t i = 0; i < got.size(); ++i) {
@@ -564,42 +568,6 @@ TEST(ServerTelemetry, MultiThreadedDwellAndHwm) {
   for (const auto& sh : server.Health().shards) {
     EXPECT_EQ(sh.ring_depth_hwm, 0u);
   }
-}
-
-TEST(ServerTelemetry, SnapshotWhileServingIsSafe) {
-  // The live-observer contract under the TSan job: TelemetrySnapshot(),
-  // Health() and DumpTrace() race the workers and ingest continuously.
-  const World w = MakeWorld(4242);
-  auto opts = BaseOpts();
-  opts.multithreaded = true;
-  opts.queue_capacity = 1 << 8;
-  opts.telemetry.sample_every = 4;
-  opts.telemetry.trace_events = 256;
-  rt::StreamServer server(w.model, opts);
-
-  std::atomic<bool> stop{false};
-  std::thread observer([&] {
-    std::uint64_t last_packets = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      const auto snap = server.TelemetrySnapshot();
-      EXPECT_GE(snap.packets, last_packets);  // monotone under the race
-      last_packets = snap.packets;
-      (void)server.Health();
-      (void)server.DumpTrace();
-      std::this_thread::yield();
-    }
-  });
-  std::vector<rt::StreamDecision> decisions;
-  for (int round = 0; round < 3; ++round) {
-    auto got = server.Serve(w.trace);
-    decisions.insert(decisions.end(), got.begin(), got.end());
-  }
-  stop.store(true, std::memory_order_release);
-  observer.join();
-  ASSERT_GT(decisions.size(), 0u);
-  const auto snap = server.TelemetrySnapshot();
-  EXPECT_EQ(snap.packets, 3 * w.trace.size());
-  EXPECT_EQ(snap.decisions, decisions.size());
 }
 
 TEST(ServerTelemetry, SwapAndShedEventsInTrace) {
@@ -657,8 +625,8 @@ TEST(ServerTelemetry, SwapAndShedEventsInTrace) {
 
 TEST(ServerTelemetry, AccountingIdentityWithTelemetry) {
   // offered == packets + shed; packets == decisions + warmup +
-  // shed.inference — per shard and in aggregate, with telemetry attached
-  // and sampling on (telemetry must not perturb accounting).
+  // shed.inference — per shard and in aggregate, with sampling on
+  // (telemetry must not perturb accounting).
   const World w = MakeWorld(5);
   auto opts = BaseOpts();
   opts.multithreaded = true;
@@ -672,10 +640,117 @@ TEST(ServerTelemetry, AccountingIdentityWithTelemetry) {
             stats.decisions + stats.warmup + stats.shed.inference);
   EXPECT_EQ(stats.decisions, decisions.size());
   std::uint64_t shard_sum = 0;
-  for (const auto& p : stats.shard_packets) shard_sum += p;
+  for (const auto& sh : stats.shards) {
+    shard_sum += sh.packets;
+    EXPECT_EQ(sh.packets, sh.decisions + sh.warmup + sh.shed_inference);
+  }
   EXPECT_EQ(shard_sum, stats.packets);
-  // The live decision counter agrees with the quiesced one.
-  EXPECT_EQ(server.TelemetrySnapshot().decisions, stats.decisions);
+  // The flushed server published its exact flow-table counts.
+  EXPECT_EQ(stats.table_hits, stats.table.hits);
+  EXPECT_EQ(stats.table_misses, stats.table.misses);
+}
+
+TEST(ServerTelemetry, SwapCountsEachPacketOnce) {
+  // The live packet count and the quiesced one are the same counter, and
+  // the in-band swap item each shard pops off its ring is not a packet.
+  const World w = MakeWorld();
+  tr::ExtractOptions every;
+  every.max_samples_per_flow = std::numeric_limits<std::size_t>::max();
+  const auto feats = tr::ExtractSeqFeatures(w.ds.flows, every);
+  auto v2 = std::make_shared<const rt::LoweredModel>(
+      BuildModel(feats.x, feats.size(), 99));
+  auto opts = BaseOpts();
+  opts.multithreaded = true;
+  rt::StreamServer server(w.model, opts);
+  const auto run =
+      ev::ServeTraceWithSwap(server, w.trace, w.trace.size() / 2, v2, 2);
+  ASSERT_EQ(run.stats.swaps, opts.num_shards);
+
+  const auto snap = server.TelemetrySnapshot();
+  EXPECT_EQ(snap.packets, w.trace.size());
+  EXPECT_EQ(server.Stats().packets, w.trace.size());
+  std::ostringstream prom;
+  tel::WritePrometheus(snap, prom);
+  EXPECT_NE(prom.str().find("\npegasus_packets_total " +
+                            std::to_string(w.trace.size()) + "\n"),
+            std::string::npos);
+}
+
+TEST(ServerTelemetry, LiveAccountingIdentitiesHold) {
+  // The live-observer contract under the TSan job: an observer snapshots
+  // and dumps the trace of a sampled multi-ingest server with shedding
+  // armed (tiny ring, immediate escalation) and injected inference faults.
+  // On every live snapshot, per shard: every counter except the stall flag
+  // is monotone, and decisions + warmup + shed_inference <= packets. After
+  // Stop() both identities hold exactly.
+  const World w = MakeWorld(31);
+  auto opts = BaseOpts();
+  opts.num_shards = 4;
+  opts.multithreaded = true;
+  opts.num_ingest = 2;
+  opts.queue_capacity = 1 << 4;
+  opts.burst = 4;
+  opts.shed = true;
+  opts.escalation = rt::EscalationPolicy::Immediate();
+  opts.inference_retries = 0;
+  opts.inference_retry_backoff_us = 0;
+  opts.telemetry.sample_every = 4;
+  opts.telemetry.trace_events = 256;
+  rt::StreamServer server(w.model, opts);
+
+  rt::FaultPlan plan;
+  plan.Arm(rt::FaultSite::kInferenceFault, 3, 5, 20);
+  rt::FaultScope faults(plan);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> snapshots{0};
+  std::atomic<std::uint64_t> violations{0};
+  std::thread observer([&] {
+    std::vector<tel::ShardTelemetrySnapshot> last(opts.num_shards);
+    while (!stop.load(std::memory_order_acquire)) {
+      const auto snap = server.TelemetrySnapshot();
+      for (std::size_t i = 0; i < snap.shards.size(); ++i) {
+        const auto& sh = snap.shards[i];
+        bool ok = sh.decisions + sh.warmup + sh.shed_inference <= sh.packets;
+        for (const auto& f : tel::kCounterFields) {
+          if (f.kind != tel::CounterKind::kFlag) {
+            ok &= sh.*f.value >= last[i].*f.value;
+          }
+        }
+        if (!ok) violations.fetch_add(1, std::memory_order_relaxed);
+        last[i] = sh;
+      }
+      (void)server.DumpTrace();
+      snapshots.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  constexpr int kRounds = 3;
+  std::uint64_t decided = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    decided += ev::ServeTracePartitioned(server, w.trace).decisions.size();
+  }
+  stop.store(true, std::memory_order_release);
+  observer.join();
+  EXPECT_GT(snapshots.load(), 0u);
+  EXPECT_EQ(violations.load(), 0u);
+
+  std::vector<std::uint64_t> offered(opts.num_shards, 0);
+  for (const auto& p : w.trace) {
+    offered[rt::StreamServer::ShardIndexOf(p.key.digest, opts.num_shards)] +=
+        kRounds;
+  }
+  const auto stats = server.Stats();
+  EXPECT_GT(stats.shed.ring_full, 0u);
+  EXPECT_GT(stats.shed.inference, 0u);
+  EXPECT_EQ(stats.shed.misrouted, 0u);
+  EXPECT_EQ(stats.decisions, decided);
+  for (std::size_t i = 0; i < opts.num_shards; ++i) {
+    const auto& sh = stats.shards[i];
+    EXPECT_EQ(sh.packets + sh.shed_ring_full + sh.shed_misrouted, offered[i])
+        << "shard " << i;
+    EXPECT_EQ(sh.packets, sh.decisions + sh.warmup + sh.shed_inference)
+        << "shard " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -694,10 +769,10 @@ TEST(Exposition, JsonAndPrometheusWriters) {
   std::ostringstream js;
   tel::WriteJson(snap, js);
   const std::string json = js.str();
-  EXPECT_NE(json.find("\"attached\": true"), std::string::npos);
   EXPECT_NE(json.find("\"end_to_end\""), std::string::npos);
   EXPECT_NE(json.find("\"p999_ns\""), std::string::npos);
-  EXPECT_NE(json.find("\"ring_depth_hwm\""), std::string::npos);
+  EXPECT_NE(json.find("\"packets\": " + std::to_string(w.trace.size())),
+            std::string::npos);
   // Balanced braces/brackets — the writer is hand-rolled.
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
@@ -707,6 +782,22 @@ TEST(Exposition, JsonAndPrometheusWriters) {
   std::ostringstream prom;
   tel::WritePrometheus(snap, prom);
   const std::string text = prom.str();
+  // Every counter appears in both writers: server-wide and per shard.
+  for (const auto& f : tel::kCounterFields) {
+    const std::string key = std::string("\"") + f.name + "\": ";
+    std::size_t hits = 0;
+    for (auto at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1)) {
+      ++hits;
+    }
+    EXPECT_EQ(hits, 1 + snap.shards.size()) << f.name;
+    const std::string family =
+        std::string("pegasus_") + f.name +
+        (f.kind == tel::CounterKind::kCounter ? "_total" : "");
+    EXPECT_NE(text.find("\n" + family + " "), std::string::npos) << family;
+    EXPECT_NE(text.find("\n" + family + "{shard=\"1\"} "), std::string::npos)
+        << family;
+  }
   EXPECT_NE(text.find("# TYPE pegasus_packets_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("pegasus_stage_latency_seconds_bucket{stage=\"end_"
@@ -722,7 +813,6 @@ TEST(Exposition, StatsReporterEmitsLines) {
   tel::StatsReporter reporter(
       [&calls] {
         tel::TelemetrySnapshot snap;
-        snap.attached = true;
         snap.now_ns = static_cast<std::uint64_t>(
                           calls.fetch_add(1, std::memory_order_relaxed) + 1) *
                       1000000ull;
@@ -804,9 +894,8 @@ TEST(Eval, SwapRunCorrelatesVersionsWithLatency) {
   EXPECT_EQ(report.versions[1].sampled, report.versions[1].decisions);
   EXPECT_GT(report.versions[0].latency_p50_ns, 0.0);
   EXPECT_GT(report.versions[1].latency_p50_ns, 0.0);
-  // And the run's snapshot rode along in StreamRun.
-  EXPECT_TRUE(run.telemetry.attached);
-  EXPECT_EQ(run.telemetry.stage(tel::Stage::kEndToEnd).count,
+  // And the run's snapshot rode along in StreamRun's stats.
+  EXPECT_EQ(run.stats.stage(tel::Stage::kEndToEnd).count,
             run.decisions.size());
 }
 

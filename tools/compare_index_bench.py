@@ -43,15 +43,11 @@ semantic); a mismatch fails the run.
         [BENCH_flowscale_compare.json]
 
 Latency mode (--latency): reads the "latency_runs" section of
-BENCH_stream.json (the off / disabled / sampled telemetry A/B that
-bench_stream measures arm-interleaved, best-of-N) and writes
-BENCH_latency_compare.json. The CI gate: telemetry compiled in but
-disabled must cost < 2% throughput vs the no-telemetry baseline of the
-same run. Because the arms are same-run measurements on a shared machine,
-the gate uses max(disabled, sampled)/off — the sampled arm does strictly
-more work than the disabled arm, so if EITHER ratio clears the bar the
-true disabled overhead is within it, and a single noisy arm cannot fail
-the build. Also prints the sampled-mode latency quantiles for the log.
+BENCH_stream.json (the unsampled / sampled A/B that bench_stream measures
+arm-interleaved, best-of-N) and writes BENCH_latency_compare.json. The CI
+gate: 1-in-32 stage-latency sampling must cost < 2% throughput vs the
+unsampled run (counters only) of the same bench. Also prints the
+sampled-mode latency quantiles for the log.
 
     compare_index_bench.py --latency BENCH_stream.json \
         [BENCH_latency_compare.json] [--max-regression 0.02]
@@ -326,26 +322,16 @@ def latency_mode(src: str, dst: str, max_regression: float) -> int:
         data = json.load(f)
 
     arms = {r.get("mode"): r for r in data.get("latency_runs", [])}
-    off = arms.get("off")
-    disabled = arms.get("disabled")
+    unsampled = arms.get("unsampled")
     sampled = arms.get("sampled")
-    if off is None or disabled is None:
-        print("error: latency_runs must contain 'off' and 'disabled' arms "
-              "(rebuild bench_stream?)", file=sys.stderr)
+    if unsampled is None or sampled is None:
+        print("error: latency_runs must contain 'unsampled' and 'sampled' "
+              "arms (rebuild bench_stream?)", file=sys.stderr)
         return 1
 
-    off_pps = off.get("packets_per_sec") or 0.0
-    ratios = {}
-    for name, arm in (("disabled", disabled), ("sampled", sampled)):
-        if arm is None:
-            continue
-        pps = arm.get("packets_per_sec") or 0.0
-        ratios[name] = round(pps / off_pps, 4) if off_pps else None
-
-    # The gate (see module docstring): sampled work strictly contains
-    # disabled work, so the max of the two ratios is the noise-robust
-    # estimate of the disabled arm's cost.
-    gate_ratio = max(v for v in ratios.values() if v is not None)
+    base_pps = unsampled.get("packets_per_sec") or 0.0
+    pps = sampled.get("packets_per_sec") or 0.0
+    gate_ratio = round(pps / base_pps, 4) if base_pps else 0.0
     floor = 1.0 - max_regression
     passed = gate_ratio >= floor
 
@@ -354,12 +340,12 @@ def latency_mode(src: str, dst: str, max_regression: float) -> int:
         "build_type": data.get("build_type", "unknown"),
         "git_sha": data.get("git_sha", "unknown"),
         "dataset": data.get("dataset", "unknown"),
-        "off_packets_per_sec": off_pps,
-        "ratios_vs_off": ratios,
+        "unsampled_packets_per_sec": base_pps,
+        "sampled_packets_per_sec": pps,
         "gate_ratio": gate_ratio,
         "max_regression": max_regression,
         "passed": passed,
-        "sampled_latency": None if sampled is None else {
+        "sampled_latency": {
             "sample_every": sampled.get("sample_every"),
             "p50_ns": sampled.get("latency_p50_ns"),
             "p99_ns": sampled.get("latency_p99_ns"),
@@ -370,20 +356,16 @@ def latency_mode(src: str, dst: str, max_regression: float) -> int:
         json.dump(out, f, indent=2)
         f.write("\n")
 
-    print(f"telemetry off: {off_pps:.0f} pps")
-    for name, ratio in ratios.items():
-        pps = arms[name].get("packets_per_sec") or 0.0
-        print(f"telemetry {name}: {pps:.0f} pps ({ratio}x of off)")
-    if sampled is not None:
-        print(f"sampled (1-in-{sampled.get('sample_every')}) e2e latency: "
-              f"p50 {sampled.get('latency_p50_ns', 0) / 1e3:.1f} us, "
-              f"p99 {sampled.get('latency_p99_ns', 0) / 1e3:.1f} us, "
-              f"p999 {sampled.get('latency_p999_ns', 0) / 1e3:.1f} us")
+    print(f"unsampled: {base_pps:.0f} pps")
+    print(f"sampled: {pps:.0f} pps ({gate_ratio}x of unsampled)")
+    print(f"sampled (1-in-{sampled.get('sample_every')}) e2e latency: "
+          f"p50 {sampled.get('latency_p50_ns', 0) / 1e3:.1f} us, "
+          f"p99 {sampled.get('latency_p99_ns', 0) / 1e3:.1f} us, "
+          f"p999 {sampled.get('latency_p999_ns', 0) / 1e3:.1f} us")
     if not passed:
-        print(f"error: disabled-telemetry throughput ratio {gate_ratio} "
-              f"below the {floor} gate — compiled-in telemetry costs more "
-              f"than {max_regression:.0%} with sampling off",
-              file=sys.stderr)
+        print(f"error: sampled/unsampled throughput ratio {gate_ratio} "
+              f"below the {floor} gate — stage-latency sampling costs more "
+              f"than {max_regression:.0%}", file=sys.stderr)
         return 1
     print(f"gate: {gate_ratio} >= {floor} ok")
     return 0
@@ -408,11 +390,11 @@ def main() -> int:
                         help="previous BENCH_stream.json to diff against "
                              "(stream mode)")
     parser.add_argument("--latency", action="store_true",
-                        help="gate the off/disabled/sampled telemetry A/B "
+                        help="gate the unsampled/sampled telemetry A/B "
                              "in BENCH_stream.json -> "
                              "BENCH_latency_compare.json")
     parser.add_argument("--max-regression", type=float, default=0.02,
-                        help="allowed disabled-telemetry throughput loss "
+                        help="allowed sampling throughput loss "
                              "(latency mode, default 0.02)")
     args = parser.parse_args()
 
