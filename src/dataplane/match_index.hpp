@@ -14,19 +14,34 @@
 //     higher key bits cannot influence any rule and are skipped.
 //   * range fields are decomposed into sorted disjoint elementary
 //     intervals (boundaries = every entry's lo and hi+1); each interval
-//     owns the bitset of entries whose [lo, hi] covers it. A lookup is one
-//     binary search per field.
+//     owns the bitset of entries whose [lo, hi] covers it. A lookup finds
+//     its interval with one branch-free binary search per field.
 //
-// Entries are pre-sorted by (priority desc, insertion order asc), so after
-// ANDing the per-field bitsets the winner is simply the first set bit
-// (std::countr_zero) — no per-entry priority compares survive to lookup
-// time. Action data is copied into a contiguous arena in sorted order, so
-// dispatching the winning action touches one cache line, not a scattered
-// TableEntry.
+// Entries are pre-sorted by (priority desc, insertion order asc), so the
+// winner is the first set bit of the AND of the per-field rows — no
+// per-entry priority compares survive to lookup time.
 //
-// Lookup cost: sum(chunks) word-parallel ANDs over ceil(entries/64) words
-// (ternary) or nk binary searches (range), independent of entry count up to
-// the bitset width — near-O(1) per packet where the scan was O(entries).
+// Aggregated bit vectors (ABV, Baboescu & Varghese, SIGCOMM 2001): every
+// row also carries ceil(words/64) aggregate words, where bit w is set iff
+// row word w is nonzero. A lookup gathers one row per nibble chunk and per
+// range field, ANDs their aggregates into candidate words, and ANDs the
+// full rows only at those candidates, in ascending order; the first nonzero
+// AND holds the winner.
+//
+// Lookup cost: one row gather (a shift per chunk, a binary search per range
+// field), sum(rows) ANDs per aggregate word, and sum(rows) ANDs per
+// candidate word visited. No accumulator of ceil(entries/64) words is
+// written, and tables up to 4096 entries have a single aggregate word.
+//
+// Action data: CRC expands one leaf into many entries carrying identical
+// words, so the arena stores each distinct slice once and every sorted
+// position keeps an {offset, size} pair into it. Deltas are copy-on-write:
+// a slice another position may still use is never written; the patched
+// position gets a fresh slice appended to the arena (consecutive patches
+// with identical words share one append), and a slice only one position
+// uses is rewritten in place. The arena never grows past the sum of the
+// entries' action words: an append that would cross it first compacts the
+// arena to the slices still referenced.
 #pragma once
 
 #include <cstdint>
@@ -50,19 +65,21 @@ struct MatchIndexStats {
   std::size_t intervals = 0;
   /// Ternary fields: nibble chunk tables built (16 bitset rows each).
   std::size_t nibble_chunks = 0;
-  /// Resident footprint of the bitset planes + boundaries + arena.
+  /// Resident footprint of the bitset planes + aggregates + boundaries +
+  /// arena and its slice table; kept current across deltas, and never
+  /// above the footprint of the same index with no slice shared.
   std::size_t bytes = 0;
   double build_ms = 0.0;
   /// O(delta) update counters: in-place patches applied without a reseal.
   std::uint64_t deltas_applied = 0;     // entry patches applied in place
-  std::uint64_t leaf_words_patched = 0; // action-arena words rewritten
+  std::uint64_t leaf_words_patched = 0; // action-data words patched
   std::uint64_t reseals_avoided = 0;    // ApplyDelta batches (each would
                                         // otherwise have been a full reseal)
   std::uint64_t delta_apply_ns = 0;     // cumulative in-place patch time
 };
 
-/// Immutable lookup structure compiled from a table's entry list at
-/// Seal() time. One index serves either a ternary or a range table.
+/// Lookup structure compiled from a table's entry list at Seal() time. One
+/// index serves either a ternary or a range table.
 class MatchIndex {
  public:
   /// Sentinel returned by FindBest on miss.
@@ -84,31 +101,31 @@ class MatchIndex {
     return order_[static_cast<std::size_t>(pos)];
   }
 
-  /// Action-data words of sorted position `pos` (contiguous arena slice).
+  /// Action-data words of sorted position `pos` (a shared arena slice).
   std::span<const std::int64_t> ActionData(std::int32_t pos) const {
-    const auto p = static_cast<std::size_t>(pos);
-    return {arena_.data() + arena_offset_[p],
-            arena_offset_[p + 1] - arena_offset_[p]};
+    const Slice s = slices_[static_cast<std::size_t>(pos)];
+    return {arena_.data() + s.offset, s.size};
   }
 
   const MatchIndexStats& stats() const { return stats_; }
 
   /// True when `patch` can be applied in place: same action-data size (so
-  /// arena offsets stay valid) and a match representable by the compiled
+  /// the arena budget holds) and a match representable by the compiled
   /// planes — ternary masks within existing chunk coverage, range bounds
   /// landing on existing elementary-interval boundaries. Anything else
   /// needs a full reseal.
   bool CanAbsorb(const EntryPatch& patch) const;
 
-  /// Applies pre-validated patches in place: rewrites each entry's arena
-  /// words and flips its bits in every chunk/interval row. Never
-  /// reallocates, so a cloned index stays independent and patching is
-  /// O(patches), not O(entries). Every patch must satisfy CanAbsorb.
+  /// Applies pre-validated patches: repoints or rewrites each entry's
+  /// action slice (copy-on-write, see above) and flips its bits in every
+  /// chunk/interval row and their aggregates. Amortized O(patch words)
+  /// plus O(rows touched) per patch; a cloned index stays independent.
+  /// Every patch must satisfy CanAbsorb.
   void ApplyDelta(std::span<const EntryPatch> patches);
 
  private:
   /// One 4-bit chunk of a ternary key field: 16 bitset rows starting at
-  /// `plane_row * words_` inside plane_.
+  /// row `plane_row`.
   struct NibbleChunk {
     std::uint32_t field = 0;
     std::uint32_t shift = 0;
@@ -121,13 +138,32 @@ class MatchIndex {
     std::uint32_t plane_row = 0;
     std::vector<std::uint64_t> starts;
   };
+  /// A sorted position's action words: arena_[offset, offset + size).
+  struct Slice {
+    std::uint32_t offset = 0;
+    std::uint32_t size = 0;
+  };
 
   void BuildTernary(std::span<const TableEntry> entries);
   void BuildRange(std::span<const TableEntry> entries);
+  /// Appends `count` all-zero plane rows; returns the first new row.
+  std::uint32_t AddRows(std::size_t count);
+  /// Sets or clears sorted position `pos` in `row`, keeping the row's
+  /// aggregate word exact.
+  void SetBit(std::size_t row, std::size_t pos, bool on);
+  /// Rebuilds the arena from `words_of(pos)` for every position, storing
+  /// each distinct slice once, and recomputes shared_ exactly.
+  template <class WordsOf>
+  void InternSlices(WordsOf words_of);
+  /// Drops every slice no position references.
+  void CompactArena();
+  void RefreshFootprint();
 
-  std::size_t words_ = 0;            // bitset words per row
+  std::size_t words_ = 0;      // bitset words per row
+  std::size_t agg_words_ = 0;  // aggregate words per row
   std::size_t num_entries_ = 0;
-  std::vector<std::uint64_t> plane_; // all bitset rows, row-major
+  std::vector<std::uint64_t> plane_;  // all bitset rows, row-major
+  std::vector<std::uint64_t> agg_;    // all aggregate rows, row-major
   std::vector<NibbleChunk> chunks_;
   std::vector<RangeField> ranges_;
   /// sorted position -> original entry index ((priority desc, idx asc)).
@@ -135,9 +171,15 @@ class MatchIndex {
   /// original entry index -> sorted position (inverse of order_), so a
   /// delta patch addressed by entry index finds its bitset column in O(1).
   std::vector<std::uint32_t> pos_of_;
-  /// Action-data arena in sorted order; offsets has num_entries_+1 slots.
+  /// Distinct action-data slices, and each sorted position's slice.
   std::vector<std::int64_t> arena_;
-  std::vector<std::size_t> arena_offset_;
+  std::vector<Slice> slices_;
+  /// True for every position whose slice another position may also
+  /// reference (exact after a build or compaction, conservative after a
+  /// delta); ApplyDelta rewrites a slice in place only when this is false.
+  std::vector<bool> shared_;
+  /// Sum of the entries' action words: the arena's size cap.
+  std::size_t arena_budget_ = 0;
   MatchIndexStats stats_;
 };
 

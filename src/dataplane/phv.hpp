@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -53,6 +54,11 @@ class Phv {
 
   std::int64_t Get(FieldId id) const { return values_.at(id); }
   void Set(FieldId id, std::int64_t v) { values_.at(id) = v; }
+
+  /// Every field as one contiguous, unchecked view (index = FieldId), for
+  /// a caller that bounds-checks a whole access pattern once — the
+  /// compiled action runs of MatchActionTable.
+  std::span<std::int64_t> values() { return values_; }
 
   /// Returns the PHV to its parse-time state (all fields zero) so a
   /// preallocated PHV can be reused across packets — the hook the batched

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 
 namespace pegasus::dataplane {
@@ -19,6 +20,10 @@ inline std::uint64_t* KeyBuffer(std::size_t nk, std::uint64_t* stack_buf) {
   return heap_buf.data();
 }
 
+inline std::int64_t Clamp(std::int64_t v, std::int64_t lo, std::int64_t hi) {
+  return std::min(std::max(v, lo), hi);
+}
+
 }  // namespace
 
 MatchActionTable::MatchActionTable(std::string name, MatchKind kind,
@@ -30,7 +35,7 @@ MatchActionTable::MatchActionTable(std::string name, MatchKind kind,
       kind_(kind),
       key_fields_(std::move(key_fields)),
       key_widths_(std::move(key_widths)),
-      action_program_(std::move(action_program)),
+      hit_program_(ActionRuns::Compile(action_program)),
       action_data_word_bits_(action_data_word_bits) {
   if (key_fields_.size() != key_widths_.size()) {
     throw std::invalid_argument("MatchActionTable: key width count mismatch");
@@ -145,8 +150,9 @@ std::size_t MatchActionTable::ApplyDelta(
 
 std::unique_ptr<MatchActionTable> MatchActionTable::Clone() const {
   auto copy = std::make_unique<MatchActionTable>(
-      name_, kind_, key_fields_, key_widths_, action_program_,
+      name_, kind_, key_fields_, key_widths_, std::vector<ActionOp>{},
       action_data_word_bits_);
+  copy->hit_program_ = hit_program_;
   copy->entries_ = entries_;
   copy->miss_program_ = miss_program_;
   copy->miss_data_ = miss_data_;
@@ -161,7 +167,7 @@ std::unique_ptr<MatchActionTable> MatchActionTable::Clone() const {
 
 void MatchActionTable::SetMissProgram(std::vector<ActionOp> ops,
                                       std::vector<std::int64_t> data) {
-  miss_program_ = std::move(ops);
+  miss_program_ = ActionRuns::Compile(ops);
   miss_data_ = std::move(data);
   ++generation_;
 }
@@ -291,32 +297,83 @@ std::optional<std::size_t> MatchActionTable::Lookup(const Phv& phv) const {
   return LinearLookupTernary(key);
 }
 
-void MatchActionTable::RunProgram(Phv& phv, const std::vector<ActionOp>& ops,
-                                  std::span<const std::int64_t> data) const {
+MatchActionTable::ActionRuns MatchActionTable::ActionRuns::Compile(
+    const std::vector<ActionOp>& ops) {
+  ActionRuns program;
   for (const ActionOp& op : ops) {
-    std::int64_t result = 0;
-    switch (op.kind) {
+    const bool from_data = op.kind == ActionOp::Kind::kSetFromData ||
+                           op.kind == ActionOp::Kind::kAddFromData;
+    const bool saturating = op.sat_max >= 0;
+    const std::int64_t lo =
+        saturating ? 0 : std::numeric_limits<std::int64_t>::min();
+    const std::int64_t hi =
+        saturating ? op.sat_max : std::numeric_limits<std::int64_t>::max();
+    Run* run = program.runs.empty() ? nullptr : &program.runs.back();
+    if (run == nullptr || run->kind != op.kind ||
+        op.target != run->target + run->len ||
+        (from_data && op.data_index != run->data_index + run->len)) {
+      program.runs.push_back({.kind = op.kind,
+                              .target = op.target,
+                              .data_index = op.data_index,
+                              .first_op = program.imm.size()});
+      run = &program.runs.back();
+    }
+    ++run->len;
+    program.imm.push_back(op.kind == ActionOp::Kind::kSetConst
+                              ? Clamp(op.imm, lo, hi)
+                              : op.imm);
+    program.lo.push_back(lo);
+    program.hi.push_back(hi);
+    program.max_target = std::max(program.max_target, op.target);
+    if (from_data) {
+      program.reads_data = true;
+      program.max_data = std::max(program.max_data, op.data_index);
+    }
+  }
+  return program;
+}
+
+void MatchActionTable::RunProgram(Phv& phv, const ActionRuns& program,
+                                  std::span<const std::int64_t> data) const {
+  if (program.runs.empty()) return;
+  const std::span<std::int64_t> fields = phv.values();
+  if (program.max_target >= fields.size()) {
+    throw std::out_of_range(name_ + ": action target field");
+  }
+  if (program.reads_data && program.max_data >= data.size()) {
+    throw std::out_of_range(name_ + ": action data index");
+  }
+  // Targets strictly ascend within a run, so its ops are independent and
+  // each run is one straight loop.
+  for (const ActionRuns::Run& run : program.runs) {
+    std::int64_t* out = fields.data() + run.target;
+    const std::int64_t* imm = program.imm.data() + run.first_op;
+    const std::int64_t* lo = program.lo.data() + run.first_op;
+    const std::int64_t* hi = program.hi.data() + run.first_op;
+    switch (run.kind) {
       case ActionOp::Kind::kSetConst:
-        result = op.imm;
+        std::copy_n(imm, run.len, out);
         break;
       case ActionOp::Kind::kAddConst:
-        result = phv.Get(op.target) + op.imm;
-        break;
-      case ActionOp::Kind::kSetFromData:
-        if (op.data_index >= data.size()) {
-          throw std::out_of_range(name_ + ": action data index");
+        for (std::size_t i = 0; i < run.len; ++i) {
+          out[i] = Clamp(out[i] + imm[i], lo[i], hi[i]);
         }
-        result = data[op.data_index];
         break;
-      case ActionOp::Kind::kAddFromData:
-        if (op.data_index >= data.size()) {
-          throw std::out_of_range(name_ + ": action data index");
+      case ActionOp::Kind::kSetFromData: {
+        const std::int64_t* src = data.data() + run.data_index;
+        for (std::size_t i = 0; i < run.len; ++i) {
+          out[i] = Clamp(src[i], lo[i], hi[i]);
         }
-        result = phv.Get(op.target) + data[op.data_index];
         break;
+      }
+      case ActionOp::Kind::kAddFromData: {
+        const std::int64_t* src = data.data() + run.data_index;
+        for (std::size_t i = 0; i < run.len; ++i) {
+          out[i] = Clamp(out[i] + src[i], lo[i], hi[i]);
+        }
+        break;
+      }
     }
-    if (op.sat_max >= 0) result = std::clamp<std::int64_t>(result, 0, op.sat_max);
-    phv.Set(op.target, result);
   }
 }
 
@@ -327,17 +384,17 @@ bool MatchActionTable::Apply(Phv& phv) const {
   if (kind_ != MatchKind::kExact && index_) {
     const std::int32_t pos = IndexedFind(phv);
     if (pos != MatchIndex::kMiss) {
-      RunProgram(phv, action_program_, index_->ActionData(pos));
+      RunProgram(phv, hit_program_, index_->ActionData(pos));
       return true;
     }
-    if (!miss_program_.empty()) RunProgram(phv, miss_program_, miss_data_);
+    RunProgram(phv, miss_program_, miss_data_);
     return false;
   }
   if (auto hit = Lookup(phv)) {
-    RunProgram(phv, action_program_, entries_[*hit].action_data);
+    RunProgram(phv, hit_program_, entries_[*hit].action_data);
     return true;
   }
-  if (!miss_program_.empty()) RunProgram(phv, miss_program_, miss_data_);
+  RunProgram(phv, miss_program_, miss_data_);
   return false;
 }
 
@@ -372,9 +429,9 @@ std::size_t MatchActionTable::ApplyBatch(std::span<Phv> batch) const {
     for (std::size_t p = 0; p < n; ++p) {
       const std::int32_t pos = index_->FindBest(keys.data() + p * nk);
       if (pos != MatchIndex::kMiss) {
-        RunProgram(batch[p], action_program_, index_->ActionData(pos));
+        RunProgram(batch[p], hit_program_, index_->ActionData(pos));
         ++hits;
-      } else if (!miss_program_.empty()) {
+      } else {
         RunProgram(batch[p], miss_program_, miss_data_);
       }
     }
@@ -416,10 +473,10 @@ std::size_t MatchActionTable::ApplyBatch(std::span<Phv> batch) const {
   std::size_t hits = 0;
   for (std::size_t p = 0; p < n; ++p) {
     if (best[p] >= 0) {
-      RunProgram(batch[p], action_program_,
+      RunProgram(batch[p], hit_program_,
                  entries_[static_cast<std::size_t>(best[p])].action_data);
       ++hits;
-    } else if (!miss_program_.empty()) {
+    } else {
       RunProgram(batch[p], miss_program_, miss_data_);
     }
   }

@@ -65,8 +65,8 @@ struct TableEntry {
 /// O(delta) model push. Addressed by original entry index; the match and
 /// priority ride along for validation: priority must not change (it pins
 /// the entry's sorted position in the compiled index) and the action data
-/// must keep its word count (it pins the arena offsets). The match may
-/// change only within what the compiled planes can absorb — see
+/// must keep its word count (it bounds the index's action arena). The
+/// match may change only within what the compiled planes can absorb — see
 /// MatchIndex::CanAbsorb.
 struct EntryPatch {
   std::size_t entry_index = 0;
@@ -148,20 +148,24 @@ class MatchActionTable {
   /// no recompilation). The foundation of clone→patch→publish updates.
   std::unique_ptr<MatchActionTable> Clone() const;
 
-  /// Default action program executed on miss (empty = no-op).
+  /// Default action program executed on miss (empty = no-op); compiled
+  /// into runs here, as the hit program is at construction.
   void SetMissProgram(std::vector<ActionOp> ops,
                       std::vector<std::int64_t> data);
 
   /// Looks up the PHV and applies the hit (or miss) action program.
-  /// Returns true on hit.
+  /// Returns true on hit. Throws std::out_of_range, before writing any
+  /// field, when the program targets a field past the PHV or reads a data
+  /// word past the matched entry's (or the miss) action data.
   bool Apply(Phv& phv) const;
 
   /// Batch counterpart of Apply with identical per-packet semantics:
-  /// gathers every packet's key once, then scans ternary/range entries
-  /// entry-major so each entry's rules are streamed across the whole batch
-  /// (instead of re-walking the entry list per packet through field
-  /// accessors). Actions run after the scan — exactly the lookup-then-act
-  /// order of Apply. Returns the number of hits.
+  /// gathers every packet's key once, then looks each packet up — one
+  /// MatchIndex probe when sealed, else an entry-major scan that streams
+  /// each entry's rules across the whole batch. Actions run after the
+  /// lookups, exactly the lookup-then-act order of Apply: per packet, one
+  /// bounds check of the whole program, then its compiled runs as straight
+  /// loops over the PHV's contiguous fields. Returns the number of hits.
   std::size_t ApplyBatch(std::span<Phv> batch) const;
 
   /// Index of the matching entry, if any (for tests/debugging).
@@ -191,7 +195,33 @@ class MatchActionTable {
   std::uint64_t ExactHashFromPhv(const Phv& phv) const;
   std::optional<std::size_t> ExactLookup(const Phv& phv) const;
   bool EntryMatches(const TableEntry& e, const Phv& phv) const;
-  void RunProgram(Phv& phv, const std::vector<ActionOp>& ops,
+
+  /// An action program compiled into runs: maximal stretches of
+  /// consecutive same-kind ops whose target field steps by one (and, for
+  /// the *FromData kinds, whose data index steps by one too). A lowered
+  /// Map program — one op per output word — is a single run. Every op
+  /// keeps its own saturation bounds: [0, sat_max], or the whole int64
+  /// range when sat_max < 0.
+  struct ActionRuns {
+    struct Run {
+      ActionOp::Kind kind = ActionOp::Kind::kSetConst;
+      std::size_t target = 0;      // first target field
+      std::size_t data_index = 0;  // first data word (*FromData kinds)
+      std::size_t first_op = 0;    // first op's slot in imm/lo/hi
+      std::size_t len = 0;
+    };
+    std::vector<Run> runs;
+    /// Per op, in program order. kSetConst immediates are pre-clamped.
+    std::vector<std::int64_t> imm, lo, hi;
+    std::size_t max_target = 0;  // highest target field
+    bool reads_data = false;     // any *FromData op
+    std::size_t max_data = 0;    // highest data index read
+
+    static ActionRuns Compile(const std::vector<ActionOp>& ops);
+  };
+  /// Checks the whole program against the PHV and `data` once (throwing
+  /// std::out_of_range before any write), then executes its runs.
+  void RunProgram(Phv& phv, const ActionRuns& program,
                   std::span<const std::int64_t> data) const;
   /// Linear-scan reference for ternary/range (unsealed fallback; also the
   /// oracle the indexed path is property-tested against).
@@ -205,10 +235,10 @@ class MatchActionTable {
   MatchKind kind_;
   std::vector<FieldId> key_fields_;
   std::vector<int> key_widths_;
-  std::vector<ActionOp> action_program_;
+  ActionRuns hit_program_;
   int action_data_word_bits_;
   std::vector<TableEntry> entries_;
-  std::vector<ActionOp> miss_program_;
+  ActionRuns miss_program_;
   std::vector<std::int64_t> miss_data_;
   // Exact-match index: hashed key -> chained entry indices. Chaining (not
   // last-write-wins) keeps distinct keys with colliding hashes reachable;

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "dataplane/flow_key.hpp"
@@ -143,6 +145,202 @@ TEST(Table, ArityValidation) {
   const auto key = layout.AddField("k", 8);
   auto t = MakeExactTable(key, key);
   EXPECT_THROW(t->AddEntry({.exact_key = {1, 2}}), std::invalid_argument);
+}
+
+// ------------------------------------------------------ action programs
+
+namespace {
+
+/// The op-at-a-time semantics compiled action runs must reproduce: each op
+/// reads, computes, saturates into [0, sat_max] when sat_max >= 0, and
+/// writes before the next op starts.
+void ReferenceRun(std::vector<std::int64_t>& fields,
+                  const std::vector<dp::ActionOp>& ops,
+                  std::span<const std::int64_t> data) {
+  for (const dp::ActionOp& op : ops) {
+    std::int64_t result = 0;
+    switch (op.kind) {
+      case dp::ActionOp::Kind::kSetConst:
+        result = op.imm;
+        break;
+      case dp::ActionOp::Kind::kAddConst:
+        result = fields.at(op.target) + op.imm;
+        break;
+      case dp::ActionOp::Kind::kSetFromData:
+        result = data[op.data_index];
+        break;
+      case dp::ActionOp::Kind::kAddFromData:
+        result = fields.at(op.target) + data[op.data_index];
+        break;
+    }
+    if (op.sat_max >= 0) {
+      result = std::clamp<std::int64_t>(result, 0, op.sat_max);
+    }
+    fields.at(op.target) = result;
+  }
+}
+
+/// A random program over `num_fields` targets and `data_words` data words:
+/// stretches of one kind that step target and data index by one (a
+/// compiled run), broken by a skipped target, a skipped data word, a kind
+/// change or a target written twice.
+std::vector<dp::ActionOp> RandomProgram(std::mt19937_64& rng,
+                                        std::size_t num_fields,
+                                        std::size_t data_words) {
+  constexpr dp::ActionOp::Kind kKinds[] = {
+      dp::ActionOp::Kind::kSetConst, dp::ActionOp::Kind::kAddConst,
+      dp::ActionOp::Kind::kSetFromData, dp::ActionOp::Kind::kAddFromData};
+  constexpr std::int64_t kSat[] = {-1, -1, 0, 7, 60};
+  std::vector<dp::ActionOp> ops;
+  const std::size_t stretches = 1 + rng() % 5;
+  for (std::size_t s = 0; s < stretches; ++s) {
+    const dp::ActionOp::Kind kind = kKinds[rng() % 4];
+    const std::size_t len = 1 + rng() % 4;
+    std::size_t target = rng() % num_fields;
+    std::size_t data = rng() % data_words;
+    // Sometimes start where the previous op left off: at its next target
+    // and data word (one longer run when the kind matches), or on the
+    // target it just wrote.
+    if (!ops.empty() && rng() % 3 == 0) {
+      target = ops.back().target + (rng() % 2 == 0 ? 1 : 0);
+      data = ops.back().data_index + 1;
+    }
+    for (std::size_t i = 0; i < len; ++i) {
+      dp::ActionOp op;
+      op.kind = kind;
+      op.target = (target + i + (rng() % 6 == 0 ? 1 : 0)) % num_fields;
+      op.data_index = (data + i + (rng() % 6 == 0 ? 1 : 0)) % data_words;
+      op.imm = static_cast<std::int64_t>(rng() % 61) - 30;
+      op.sat_max = kSat[rng() % 5];
+      ops.push_back(op);
+    }
+  }
+  return ops;
+}
+
+}  // namespace
+
+TEST(Table, CompiledProgramsMatchReferenceInterpreter) {
+  // Random programs through Apply and ApplyBatch, on an indexed (sealed)
+  // table and a never-sealed linear one, hit and miss, against the
+  // op-at-a-time reference on the same starting fields.
+  std::mt19937_64 rng(4242);
+  constexpr std::size_t kValueFields = 12;
+  constexpr std::size_t kWords = 6;
+  dp::PhvLayout layout;
+  const auto key = layout.AddField("k", 8);
+  for (std::size_t f = 0; f < kValueFields; ++f) {
+    layout.AddField("v" + std::to_string(f), 16);
+  }
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto hit_ops = RandomProgram(rng, layout.NumFields(), kWords);
+    const auto miss_ops = RandomProgram(rng, layout.NumFields(), kWords);
+    std::vector<std::int64_t> miss_data(kWords);
+    for (std::int64_t& w : miss_data) {
+      w = static_cast<std::int64_t>(rng() % 101) - 50;
+    }
+    std::vector<dp::TableEntry> entries;
+    for (std::uint64_t e = 0; e < 12; ++e) {
+      dp::TableEntry entry;
+      entry.ternary = {dp::TernaryRule{3 * e, 0xff}};
+      entry.priority = 1;
+      for (std::size_t w = 0; w < kWords; ++w) {
+        entry.action_data.push_back(static_cast<std::int64_t>(rng() % 101) -
+                                    50);
+      }
+      entries.push_back(std::move(entry));
+    }
+    dp::MatchActionTable sealed("s", dp::MatchKind::kTernary, {key}, {8},
+                                hit_ops, 16);
+    dp::MatchActionTable linear("l", dp::MatchKind::kTernary, {key}, {8},
+                                hit_ops, 16);
+    for (auto* t : {&sealed, &linear}) {
+      for (const auto& e : entries) t->AddEntry(e);
+      t->SetMissProgram(miss_ops, miss_data);
+    }
+    sealed.Seal();
+    ASSERT_NE(sealed.index_stats(), nullptr);
+
+    constexpr std::size_t kBatch = 24;
+    std::vector<dp::Phv> start(kBatch, dp::Phv(layout));
+    std::vector<std::vector<std::int64_t>> want(kBatch);
+    for (std::size_t p = 0; p < kBatch; ++p) {
+      start[p].Set(key, static_cast<std::int64_t>(rng() % 48));
+      for (std::size_t f = 1; f < layout.NumFields(); ++f) {
+        start[p].Set(f, static_cast<std::int64_t>(rng() % 81) - 40);
+      }
+      want[p].assign(start[p].values().begin(), start[p].values().end());
+      const auto hit = linear.Lookup(start[p]);
+      if (hit) {
+        ReferenceRun(want[p], hit_ops, entries[*hit].action_data);
+      } else {
+        ReferenceRun(want[p], miss_ops, miss_data);
+      }
+    }
+    for (const auto* t : {&sealed, &linear}) {
+      std::vector<dp::Phv> batch = start;
+      t->ApplyBatch(std::span<dp::Phv>(batch));
+      for (std::size_t p = 0; p < kBatch; ++p) {
+        dp::Phv one = start[p];
+        t->Apply(one);
+        for (std::size_t f = 0; f < layout.NumFields(); ++f) {
+          ASSERT_EQ(one.Get(f), want[p][f])
+              << t->name() << " Apply, trial " << trial << " packet " << p
+              << " field " << f;
+          ASSERT_EQ(batch[p].Get(f), want[p][f])
+              << t->name() << " ApplyBatch, trial " << trial << " packet "
+              << p << " field " << f;
+        }
+      }
+    }
+  }
+}
+
+TEST(Table, ProgramBoundsThrowOutOfRange) {
+  // A target past the PHV, or a data index past the matched entry's
+  // words, must throw from Apply and ApplyBatch, sealed or not.
+  dp::PhvLayout layout;
+  const auto key = layout.AddField("k", 8);
+  const auto out = layout.AddField("o", 16);
+  const auto build = [&](std::vector<dp::ActionOp> prog, bool seal) {
+    auto t = std::make_unique<dp::MatchActionTable>(
+        "t", dp::MatchKind::kTernary, std::vector<dp::FieldId>{key},
+        std::vector<int>{8}, std::move(prog), 16);
+    for (std::uint64_t e = 0; e < 10; ++e) {
+      dp::TableEntry entry;
+      entry.ternary = {dp::TernaryRule{e, 0xff}};
+      entry.priority = 1;
+      entry.action_data = {1, 2};
+      t->AddEntry(std::move(entry));
+    }
+    if (seal) t->Seal();
+    return t;
+  };
+  const std::vector<std::vector<dp::ActionOp>> bad = {
+      {{dp::ActionOp::Kind::kSetFromData, out, 0, 0, -1},
+       {dp::ActionOp::Kind::kSetConst, layout.NumFields() + 3, 0, 5, -1}},
+      {{dp::ActionOp::Kind::kAddFromData, out, 0, 0, -1},
+       {dp::ActionOp::Kind::kAddFromData, out, 2, 0, 100}},
+  };
+  for (const auto& prog : bad) {
+    for (const bool seal : {true, false}) {
+      const auto t = build(prog, seal);
+      std::vector<dp::Phv> batch(4, dp::Phv(layout));
+      for (dp::Phv& phv : batch) phv.Set(key, 200);
+      batch[2].Set(key, 3);  // one hit among misses
+      EXPECT_THROW(t->Apply(batch[2]), std::out_of_range);
+      EXPECT_THROW(t->ApplyBatch(std::span<dp::Phv>(batch)),
+                   std::out_of_range);
+    }
+  }
+  // The miss program is checked against the miss data the same way.
+  const auto t = build({}, true);
+  t->SetMissProgram({{dp::ActionOp::Kind::kSetFromData, out, 1, 0, -1}}, {7});
+  dp::Phv miss(layout);
+  miss.Set(key, 200);
+  EXPECT_THROW(t->Apply(miss), std::out_of_range);
+  std::vector<dp::Phv> batch(2, miss);
+  EXPECT_THROW(t->ApplyBatch(std::span<dp::Phv>(batch)), std::out_of_range);
 }
 
 // -------------------------------------------------------------- pipeline

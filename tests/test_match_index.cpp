@@ -1,14 +1,16 @@
 // Property tests for the compiled bit-vector match index: the sealed
 // (indexed) lookup path must be bit-identical to the linear-scan reference
 // on randomized ternary/range tables — same winners under priority ties,
-// same misses, same PHV contents after ApplyBatch — plus seal/mutate
-// lifecycle and exact-match hash-collision coverage.
+// same misses, same PHV contents after Apply/ApplyBatch, with entries
+// sharing action-data slices — plus seal/mutate lifecycle and exact-match
+// hash-collision coverage.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "dataplane/match_index.hpp"
@@ -22,20 +24,25 @@ namespace {
 struct TablePair {
   dp::PhvLayout layout;
   std::vector<dp::FieldId> keys;
-  dp::FieldId out = 0;
+  dp::FieldId out = 0;  // first output field; one per action word
   std::unique_ptr<dp::MatchActionTable> indexed;  // sealed
   std::unique_ptr<dp::MatchActionTable> linear;   // never sealed
 };
 
+/// Both tables copy every action word of the winning entry into its own
+/// output field (entries[0] sets the word count).
 TablePair MakePair(dp::MatchKind kind, const std::vector<int>& widths,
                    const std::vector<dp::TableEntry>& entries) {
   TablePair p;
   for (std::size_t i = 0; i < widths.size(); ++i) {
     p.keys.push_back(p.layout.AddField("k" + std::to_string(i), widths[i]));
   }
-  p.out = p.layout.AddField("o", 32);
-  std::vector<dp::ActionOp> prog{
-      {dp::ActionOp::Kind::kSetFromData, p.out, 0, 0, -1}};
+  std::vector<dp::ActionOp> prog;
+  for (std::size_t w = 0; w < entries.at(0).action_data.size(); ++w) {
+    const dp::FieldId f = p.layout.AddField("o" + std::to_string(w), 32);
+    if (w == 0) p.out = f;
+    prog.push_back({dp::ActionOp::Kind::kSetFromData, f, w, 0, -1});
+  }
   p.indexed = std::make_unique<dp::MatchActionTable>("idx", kind, p.keys,
                                                      widths, prog, 32);
   p.linear = std::make_unique<dp::MatchActionTable>("lin", kind, p.keys,
@@ -48,15 +55,53 @@ TablePair MakePair(dp::MatchKind kind, const std::vector<int>& widths,
   return p;
 }
 
-/// Lookups on both tables must agree exactly (hit/miss and entry index).
-void ExpectSameLookup(const TablePair& p, const std::vector<std::uint64_t>& key) {
+dp::Phv KeyedPhv(const TablePair& p, const std::vector<std::uint64_t>& key) {
   dp::Phv phv(p.layout);
   for (std::size_t i = 0; i < p.keys.size(); ++i) {
     phv.Set(p.keys[i], static_cast<std::int64_t>(key[i]));
   }
-  const std::optional<std::size_t> a = p.indexed->Lookup(phv);
-  const std::optional<std::size_t> b = p.linear->Lookup(phv);
-  ASSERT_EQ(a, b) << "key[0]=" << key[0];
+  return phv;
+}
+
+void ExpectSameFields(const dp::Phv& a, const dp::Phv& b) {
+  for (std::size_t f = 0; f < a.layout().NumFields(); ++f) {
+    ASSERT_EQ(a.Get(f), b.Get(f)) << "field " << f;
+  }
+}
+
+/// Lookups on both tables must agree exactly (hit/miss and entry index),
+/// and so must every field after Apply.
+void ExpectSameLookup(const TablePair& p, const std::vector<std::uint64_t>& key) {
+  dp::Phv a = KeyedPhv(p, key);
+  dp::Phv b = a;
+  ASSERT_EQ(p.indexed->Lookup(a), p.linear->Lookup(b)) << "key[0]=" << key[0];
+  p.indexed->Apply(a);
+  p.linear->Apply(b);
+  ExpectSameFields(a, b);
+}
+
+/// A patched pair must decide exactly like `fresh`, sealed from scratch
+/// over the patched entry list: same winner, same fields after Apply.
+void ExpectSameDecision(const TablePair& patched, const TablePair& fresh,
+                        const std::vector<std::uint64_t>& key) {
+  dp::Phv a = KeyedPhv(patched, key);
+  dp::Phv b = KeyedPhv(fresh, key);
+  ASSERT_EQ(patched.indexed->Lookup(a), fresh.indexed->Lookup(b));
+  ASSERT_EQ(patched.indexed->Lookup(a), patched.linear->Lookup(a));
+  patched.indexed->Apply(a);
+  fresh.indexed->Apply(b);
+  ExpectSameFields(a, b);
+}
+
+/// `len` action words from a pool of four slices, so many entries share
+/// one slice, as a leaf's CRC-expanded entries do.
+std::vector<std::int64_t> PoolWords(std::mt19937_64& rng, std::size_t len) {
+  const auto k = static_cast<std::int64_t>(rng() % 4);
+  std::vector<std::int64_t> words;
+  for (std::size_t j = 0; j < len; ++j) {
+    words.push_back(100 * k + static_cast<std::int64_t>(j));
+  }
+  return words;
 }
 
 std::vector<std::uint64_t> RandomKey(std::mt19937_64& rng,
@@ -84,6 +129,7 @@ TEST(MatchIndex, RandomTernaryTablesMatchLinearReference) {
     for (int trial = 0; trial < 6; ++trial) {
       std::vector<dp::TableEntry> entries;
       const std::size_t n = 20 + rng() % 180;
+      const std::size_t words = 1 + rng() % 3;
       for (std::size_t e = 0; e < n; ++e) {
         dp::TableEntry entry;
         for (int w : widths) {
@@ -102,7 +148,7 @@ TEST(MatchIndex, RandomTernaryTablesMatchLinearReference) {
           entry.ternary.push_back(r);
         }
         entry.priority = static_cast<int>(rng() % 5);  // plenty of ties
-        entry.action_data = {static_cast<std::int64_t>(e)};
+        entry.action_data = PoolWords(rng, words);
         entries.push_back(entry);
       }
       const TablePair p = MakePair(dp::MatchKind::kTernary, widths, entries);
@@ -130,6 +176,7 @@ TEST(MatchIndex, RandomRangeTablesMatchLinearReference) {
     for (int trial = 0; trial < 6; ++trial) {
       std::vector<dp::TableEntry> entries;
       const std::size_t n = 20 + rng() % 120;
+      const std::size_t words = 1 + rng() % 3;
       for (std::size_t e = 0; e < n; ++e) {
         dp::TableEntry entry;
         for (int w : widths) {
@@ -142,7 +189,7 @@ TEST(MatchIndex, RandomRangeTablesMatchLinearReference) {
           entry.range_hi.push_back(hi);
         }
         entry.priority = static_cast<int>(rng() % 4);
-        entry.action_data = {static_cast<std::int64_t>(e)};
+        entry.action_data = PoolWords(rng, words);
         entries.push_back(entry);
       }
       const TablePair p = MakePair(dp::MatchKind::kRange, widths, entries);
@@ -240,6 +287,7 @@ TEST(MatchIndex, ApplyBatchBitIdenticalToSequentialApply) {
   for (const dp::MatchKind kind :
        {dp::MatchKind::kTernary, dp::MatchKind::kRange}) {
     std::vector<dp::TableEntry> entries;
+    const std::size_t words = 1 + rng() % 3;
     for (std::size_t e = 0; e < 100; ++e) {
       dp::TableEntry entry;
       if (kind == dp::MatchKind::kTernary) {
@@ -251,7 +299,7 @@ TEST(MatchIndex, ApplyBatchBitIdenticalToSequentialApply) {
         entry.range_hi = {hi};
       }
       entry.priority = static_cast<int>(rng() % 4);
-      entry.action_data = {static_cast<std::int64_t>(e), -7};
+      entry.action_data = PoolWords(rng, words);
       entries.push_back(entry);
     }
     TablePair p = MakePair(kind, {10}, entries);
@@ -509,7 +557,15 @@ std::vector<dp::EntryPatch> RandomAbsorbablePatches(
         p.range_hi.push_back(entries[o].range_hi[d]);
       }
     }
-    p.action_data = {static_cast<std::int64_t>(rng() % 1000)};
+    // Half the time the same words as the previous patch: the planner
+    // patches all of a leaf's expanded entries alike.
+    const std::size_t words = entries[e].action_data.size();
+    if (!patches.empty() && rng() % 2 == 0 &&
+        patches.back().action_data.size() == words) {
+      p.action_data = patches.back().action_data;
+    } else {
+      p.action_data = PoolWords(rng, words);
+    }
     if (kind == dp::MatchKind::kTernary) {
       entries[e].ternary = p.ternary;
     } else {
@@ -520,6 +576,15 @@ std::vector<dp::EntryPatch> RandomAbsorbablePatches(
     patches.push_back(std::move(p));
   }
   return patches;
+}
+
+/// A key inside `entry`'s match: its ternary values or its range lows.
+std::vector<std::uint64_t> EntryKey(dp::MatchKind kind,
+                                    const dp::TableEntry& entry) {
+  if (kind == dp::MatchKind::kRange) return entry.range_lo;
+  std::vector<std::uint64_t> key;
+  for (const dp::TernaryRule& r : entry.ternary) key.push_back(r.value);
+  return key;
 }
 
 }  // namespace
@@ -533,6 +598,7 @@ TEST(MatchIndexDelta, PatchedIndexBitIdenticalToFreshSeal) {
       for (int trial = 0; trial < 4; ++trial) {
         std::vector<dp::TableEntry> entries;
         const std::size_t n = 24 + rng() % 100;
+        const std::size_t words = 1 + rng() % 3;
         for (std::size_t e = 0; e < n; ++e) {
           dp::TableEntry entry;
           for (int w : widths) {
@@ -552,7 +618,7 @@ TEST(MatchIndexDelta, PatchedIndexBitIdenticalToFreshSeal) {
             }
           }
           entry.priority = static_cast<int>(rng() % 4);  // plenty of ties
-          entry.action_data = {static_cast<std::int64_t>(e)};
+          entry.action_data = PoolWords(rng, words);
           entries.push_back(entry);
         }
         TablePair p = MakePair(kind, widths, entries);
@@ -571,33 +637,116 @@ TEST(MatchIndexDelta, PatchedIndexBitIdenticalToFreshSeal) {
           // Reference: a fresh table sealed over the patched entry list.
           const TablePair fresh = MakePair(kind, widths, entries);
           for (int probe = 0; probe < 150; ++probe) {
-            const auto key = RandomKey(rng, widths, false);
-            dp::Phv a(p.layout), b(fresh.layout);
-            for (std::size_t i = 0; i < p.keys.size(); ++i) {
-              a.Set(p.keys[i], static_cast<std::int64_t>(key[i]));
-              b.Set(fresh.keys[i], static_cast<std::int64_t>(key[i]));
-            }
-            ASSERT_EQ(p.indexed->Lookup(a), fresh.indexed->Lookup(b));
-            ASSERT_EQ(p.indexed->Lookup(a), p.linear->Lookup(a));
+            ExpectSameDecision(p, fresh, RandomKey(rng, widths, false));
           }
           // Probes seeded from patched entries (guaranteed-hit-heavy).
           for (const auto& patch : patches) {
-            std::vector<std::uint64_t> key;
-            for (std::size_t i = 0; i < widths.size(); ++i) {
-              key.push_back(kind == dp::MatchKind::kTernary
-                                ? entries[patch.entry_index].ternary[i].value
-                                : entries[patch.entry_index].range_lo[i]);
-            }
-            dp::Phv a(p.layout), b(fresh.layout);
-            for (std::size_t i = 0; i < p.keys.size(); ++i) {
-              a.Set(p.keys[i], static_cast<std::int64_t>(key[i]));
-              b.Set(fresh.keys[i], static_cast<std::int64_t>(key[i]));
-            }
-            ASSERT_EQ(p.indexed->Lookup(a), fresh.indexed->Lookup(b));
+            ExpectSameDecision(p, fresh,
+                               EntryKey(kind, entries[patch.entry_index]));
           }
         }
       }
     }
+  }
+}
+
+TEST(MatchIndexDelta, PatchingOneSharerLeavesTheOtherIntact) {
+  // Entries 0 and 1 carry identical words, so the index stores them once.
+  // Patching entry 0 must not write through that shared slice: entry 1
+  // still answers with the old words, and both answer exactly like a
+  // table sealed from scratch over the patched entries.
+  std::vector<dp::TableEntry> entries;
+  for (std::size_t e = 0; e < 16; ++e) {
+    dp::TableEntry entry;
+    entry.ternary = {dp::TernaryRule{e, 0xff}};
+    entry.priority = 1;
+    entry.action_data = {static_cast<std::int64_t>(10 * e), -1};
+    entries.push_back(entry);
+  }
+  entries[1].action_data = entries[0].action_data;
+  TablePair p = MakePair(dp::MatchKind::kTernary, {8}, entries);
+  dp::EntryPatch patch;
+  patch.ternary = {dp::TernaryRule{0, 0xff}};
+  patch.priority = 1;
+  patch.action_data = {77, 78};
+  p.indexed->ApplyDelta(std::span(&patch, 1));
+  p.linear->ApplyDelta(std::span(&patch, 1));
+  entries[0].action_data = {77, 78};
+  const TablePair fresh = MakePair(dp::MatchKind::kTernary, {8}, entries);
+  for (std::uint64_t k = 0; k < 16; ++k) ExpectSameDecision(p, fresh, {k});
+
+  dp::Phv phv = KeyedPhv(p, {1});
+  ASSERT_TRUE(p.indexed->Apply(phv));
+  EXPECT_EQ(phv.Get(p.out), 0);
+  EXPECT_EQ(phv.Get(p.out + 1), -1);
+  phv = KeyedPhv(p, {0});
+  ASSERT_TRUE(p.indexed->Apply(phv));
+  EXPECT_EQ(phv.Get(p.out), 77);
+  EXPECT_EQ(phv.Get(p.out + 1), 78);
+}
+
+TEST(MatchIndexDelta, DeltaRoundsMatchFreshSealWithinArenaBudget) {
+  // 150 rounds of random deltas on one index of heavily shared slices:
+  // copy-on-write appends, in-place rewrites of unshared slices, runs of
+  // patches sharing one append, and compactions once the arena reaches
+  // its budget. After every round the index must decide like a fresh
+  // seal, and its footprint must stay within that of the same index with
+  // no slice shared — every entry's words stored once, the budget.
+  std::mt19937_64 rng(5150);
+  for (const dp::MatchKind kind :
+       {dp::MatchKind::kTernary, dp::MatchKind::kRange}) {
+    const std::vector<int> widths = {8, 6};
+    std::vector<dp::TableEntry> entries;
+    for (std::size_t e = 0; e < 48; ++e) {
+      dp::TableEntry entry;
+      for (int w : widths) {
+        const std::uint64_t dmax = (1ull << w) - 1;
+        if (kind == dp::MatchKind::kTernary) {
+          entry.ternary.push_back({rng() & dmax, rng() & dmax});
+        } else {
+          std::uint64_t lo = rng() & dmax, hi = rng() & dmax;
+          if (lo > hi) std::swap(lo, hi);
+          entry.range_lo.push_back(lo);
+          entry.range_hi.push_back(hi);
+        }
+      }
+      entry.priority = static_cast<int>(rng() % 3);
+      entry.action_data = PoolWords(rng, 3);
+      entries.push_back(entry);
+    }
+    std::vector<dp::TableEntry> unshared = entries;
+    for (std::size_t e = 0; e < unshared.size(); ++e) {
+      for (std::int64_t& w : unshared[e].action_data) {
+        w += 1000 * static_cast<std::int64_t>(e + 1);
+      }
+    }
+    const std::size_t budget_bytes =
+        MakePair(kind, widths, unshared).indexed->index_stats()->bytes;
+
+    TablePair p = MakePair(kind, widths, entries);
+    const dp::MatchIndexStats* stats = p.indexed->index_stats();
+    ASSERT_NE(stats, nullptr);
+    ASSERT_LT(stats->bytes, budget_bytes) << "pooled words must be shared";
+    bool compacted = false;
+    for (int round = 0; round < 150; ++round) {
+      const std::size_t before = stats->bytes;
+      const auto patches = RandomAbsorbablePatches(rng, kind, entries, widths,
+                                                   1 + rng() % 6);
+      p.indexed->ApplyDelta(patches);
+      p.linear->ApplyDelta(patches);
+      ASSERT_EQ(p.indexed->index_stats(), stats) << "no index rebuild";
+      ASSERT_LE(stats->bytes, budget_bytes) << "round " << round;
+      compacted |= stats->bytes < before;
+
+      const TablePair fresh = MakePair(kind, widths, entries);
+      for (int probe = 0; probe < 40; ++probe) {
+        ExpectSameDecision(p, fresh, RandomKey(rng, widths, false));
+      }
+      for (const dp::TableEntry& e : entries) {
+        ExpectSameDecision(p, fresh, EntryKey(kind, e));
+      }
+    }
+    EXPECT_TRUE(compacted) << "the rounds never filled the arena budget";
   }
 }
 
