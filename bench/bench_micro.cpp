@@ -152,6 +152,82 @@ void BM_RangeTableLookupLinear(benchmark::State& state) {
 }
 BENCHMARK(BM_RangeTableLookupLinear)->Arg(16)->Arg(128)->Arg(1024);
 
+// A lowered Map table's shape: two 10-bit key fields, the key space cut
+// into `leaves` boxes by random axis-aligned splits (a fuzzy tree's
+// leaves), each box CRC-expanded into the cross product of its per-field
+// ternary rules, every expanded entry carrying its leaf's words. The arg
+// is the leaf count; `entries` reports the expanded size.
+dataplane::MatchActionTable BuildMapBenchTable(dataplane::PhvLayout& layout,
+                                               std::size_t leaves,
+                                               bool sealed) {
+  const auto k0 = layout.AddField("k0", 10);
+  const auto k1 = layout.AddField("k1", 10);
+  const auto out = layout.AddField("o", 16);
+  std::vector<dataplane::ActionOp> prog{
+      {dataplane::ActionOp::Kind::kSetFromData, out, 0, 0, -1}};
+  dataplane::MatchActionTable table("m", dataplane::MatchKind::kTernary,
+                                    {k0, k1}, {10, 10}, prog, 16);
+  struct Box {
+    std::uint64_t lo[2];
+    std::uint64_t hi[2];
+  };
+  std::vector<Box> boxes{{{0, 0}, {1023, 1023}}};
+  std::mt19937_64 rng(leaves);
+  while (boxes.size() < leaves) {
+    Box& box = boxes[rng() % boxes.size()];
+    const std::size_t d = rng() % 2;
+    if (box.lo[d] == box.hi[d]) continue;
+    Box upper = box;
+    const std::uint64_t cut = box.lo[d] + rng() % (box.hi[d] - box.lo[d]);
+    box.hi[d] = cut;
+    upper.lo[d] = cut + 1;
+    boxes.push_back(upper);
+  }
+  for (std::size_t leaf = 0; leaf < boxes.size(); ++leaf) {
+    const Box& box = boxes[leaf];
+    for (const auto& r0 : dataplane::RangeToTernary(box.lo[0], box.hi[0], 10)) {
+      for (const auto& r1 :
+           dataplane::RangeToTernary(box.lo[1], box.hi[1], 10)) {
+        table.AddEntry({.ternary = {r0, r1},
+                        .action_data = {static_cast<std::int64_t>(leaf)}});
+      }
+    }
+  }
+  if (sealed) table.Seal();
+  return table;
+}
+
+void RunMapLookupLoop(benchmark::State& state, bool sealed) {
+  dataplane::PhvLayout layout;
+  const auto table = BuildMapBenchTable(
+      layout, static_cast<std::size_t>(state.range(0)), sealed);
+  const auto k0 = layout.Find("k0");
+  const auto k1 = layout.Find("k1");
+  std::mt19937_64 rng(7);
+  std::vector<std::int64_t> keys(2 * 4096);
+  for (std::int64_t& k : keys) k = static_cast<std::int64_t>(rng() & 0x3ff);
+  dataplane::Phv phv(layout);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    phv.Set(k0, keys[i]);
+    phv.Set(k1, keys[i + 1]);
+    i = (i + 2) % keys.size();
+    benchmark::DoNotOptimize(table.Apply(phv));
+  }
+  state.counters["entries"] = static_cast<double>(table.NumEntries());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+void BM_MapTableLookup(benchmark::State& state) {
+  RunMapLookupLoop(state, /*sealed=*/true);
+}
+BENCHMARK(BM_MapTableLookup)->Arg(16)->Arg(64)->Arg(256);
+
+void BM_MapTableLookupLinear(benchmark::State& state) {
+  RunMapLookupLoop(state, /*sealed=*/false);
+}
+BENCHMARK(BM_MapTableLookupLinear)->Arg(16)->Arg(64)->Arg(256);
+
 void RunApplyBatchLoop(benchmark::State& state, bool sealed) {
   // 1024-entry table, 64-packet batches: the ApplyBatch shape the
   // InferenceEngine drives.

@@ -240,7 +240,10 @@ class LoweringPass final : public Pass {
     if (index.indexed_tables > 0) {
       stats.note = "match index: " + std::to_string(index.intervals) +
                    " intervals, " + std::to_string(index.nibble_chunks) +
-                   " nibble chunks";
+                   " nibble chunks, " +
+                   std::to_string(index.classified_tables) + "/" +
+                   std::to_string(index.indexed_tables) +
+                   " tables on class tables";
     }
     ctx.SetLowered(std::move(lowered));
   }

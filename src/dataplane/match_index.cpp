@@ -13,9 +13,10 @@ namespace pegasus::dataplane {
 
 namespace {
 
-std::uint64_t HashWords(std::span<const std::int64_t> words) {
+template <class Word>
+std::uint64_t HashWords(std::span<const Word> words) {
   std::uint64_t h = words.size();
-  for (const std::int64_t w : words) {
+  for (const Word w : words) {
     h = (h ^ static_cast<std::uint64_t>(w)) * 0xff51afd7ed558ccdull;
     h ^= h >> 33;
   }
@@ -35,6 +36,68 @@ std::size_t IntervalOf(const std::vector<std::uint64_t>& starts,
     n -= half;
   }
   return static_cast<std::size_t>(base - starts.data());
+}
+
+/// The class-table budget: dimensions, cells per table, and class bitset
+/// words held at once while building (32 MiB). Past any of them, or with
+/// a sorted position at or above the miss cell, the index serves by bit
+/// vectors.
+constexpr std::size_t kMaxClassDims = 16;
+constexpr std::size_t kMaxClassCells = std::size_t{1} << 16;
+constexpr std::size_t kMaxClassWords = std::size_t{1} << 22;
+/// The root table's cell for a miss.
+constexpr std::uint16_t kMissCell = 0xffff;
+
+/// The distinct entry bitsets of one class-table node, each stored once;
+/// a class id is the bitset's index. Deduplicated through a flat
+/// open-addressing set kept at most half full (a slot holds id + 1, or 0).
+class ClassSet {
+ public:
+  ClassSet(std::size_t words, std::size_t max_classes)
+      : words_(words),
+        mask_(std::bit_ceil(2 * max_classes + 1) - 1),
+        slots_(mask_ + 1, 0) {}
+
+  /// The class id of `set` (words_ words), added if new.
+  std::uint16_t Intern(const std::uint64_t* set) {
+    std::size_t probe = HashWords(std::span(set, words_)) & mask_;
+    while (slots_[probe] != 0) {
+      const std::uint32_t id = slots_[probe] - 1;
+      if (std::equal(set, set + words_, Set(id))) {
+        return static_cast<std::uint16_t>(id);
+      }
+      probe = (probe + 1) & mask_;
+    }
+    const std::size_t id = classes();
+    sets_.insert(sets_.end(), set, set + words_);
+    slots_[probe] = static_cast<std::uint32_t>(id + 1);
+    return static_cast<std::uint16_t>(id);
+  }
+
+  std::size_t classes() const { return sets_.size() / words_; }
+  std::size_t held_words() const { return sets_.size(); }
+  const std::uint64_t* Set(std::size_t id) const {
+    return sets_.data() + id * words_;
+  }
+
+ private:
+  std::size_t words_;
+  std::size_t mask_;
+  std::vector<std::uint32_t> slots_;
+  std::vector<std::uint64_t> sets_;
+};
+
+/// Sorted position of the first entry in both `a` and `b`, or kMissCell.
+std::uint16_t FirstCommon(const std::uint64_t* a, const std::uint64_t* b,
+                          std::size_t words) {
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t hits = a[w] & b[w];
+    if (hits != 0) {
+      return static_cast<std::uint16_t>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(hits)));
+    }
+  }
+  return kMissCell;
 }
 
 }  // namespace
@@ -84,6 +147,8 @@ MatchIndex::MatchIndex(std::span<const TableEntry> entries,
       }
     }
   }
+
+  BuildClassTables();
 
   stats_.entries = num_entries_;
   stats_.words_per_row = words_;
@@ -143,8 +208,187 @@ void MatchIndex::CompactArena() {
   });
 }
 
+void MatchIndex::BuildClassTables() {
+  if (num_entries_ == 0 || num_entries_ >= kMissCell) return;
+  // One node per dimension, then per cross product, in build order; a
+  // node's sets die once a cross product has consumed them.
+  struct Node {
+    std::uint32_t id = 0;
+    ClassSet set;
+  };
+  std::vector<Node> level;
+  std::size_t held = 0;  // class bitset words alive across nodes
+  std::vector<std::uint64_t> acc(words_);
+  bool fits = true;
+  const auto row = [&](std::size_t r) { return plane_.data() + r * words_; };
+  // Interns `count` cells, cell i's bitset filled into acc by fill(i).
+  const auto add_cells = [&](ClassSet& set, std::size_t count, auto fill) {
+    for (std::size_t i = 0; fits && i < count; ++i) {
+      fill(i);
+      cells_.push_back(set.Intern(acc.data()));
+      fits = held + set.held_words() <= kMaxClassWords;
+    }
+  };
+  const auto add_dim = [&](const ClassDim& dim, ClassSet set) {
+    held += set.held_words();
+    level.push_back({static_cast<std::uint32_t>(dims_.size()),
+                     std::move(set)});
+    dims_.push_back(dim);
+    fits = fits && dims_.size() <= kMaxClassDims;
+  };
+
+  // Ternary windows: up to three consecutive nibble chunks of one field.
+  for (std::size_t c = 0; fits && c < chunks_.size();) {
+    std::size_t end = c + 1;
+    while (end < chunks_.size() && end - c < 3 &&
+           chunks_[end].field == chunks_[c].field) {
+      ++end;
+    }
+    int bits = 4 * static_cast<int>(end - c);
+    if (end == chunks_.size() || chunks_[end].field != chunks_[c].field) {
+      // The field's top window: drop high nibble bits no row tells apart.
+      const std::uint64_t* top = row(chunks_[end - 1].plane_row);
+      int keep = 4;
+      const auto splits = [&](int bit) {
+        for (std::size_t nib = 0; nib < 16; ++nib) {
+          const std::size_t other = nib ^ (std::size_t{1} << bit);
+          if (nib < other &&
+              !std::equal(top + nib * words_, top + (nib + 1) * words_,
+                          top + other * words_)) {
+            return true;
+          }
+        }
+        return false;
+      };
+      while (keep > 1 && !splits(keep - 1)) --keep;
+      bits -= 4 - keep;
+    }
+    ClassDim dim;
+    dim.field = chunks_[c].field;
+    dim.shift = chunks_[c].shift;
+    dim.mask = (std::uint64_t{1} << bits) - 1;
+    dim.limit = dim.mask;
+    dim.cells = static_cast<std::uint32_t>(cells_.size());
+    const std::size_t count = std::size_t{1} << bits;
+    ClassSet set(words_, count);
+    add_cells(set, count, [&](std::size_t v) {
+      std::fill(acc.begin(), acc.end(), ~0ull);
+      for (std::size_t k = c; k < end; ++k) {
+        const std::size_t nib = (v >> (chunks_[k].shift - dim.shift)) & 0xf;
+        const std::uint64_t* r = row(chunks_[k].plane_row + nib);
+        for (std::size_t w = 0; w < words_; ++w) acc[w] &= r[w];
+      }
+    });
+    add_dim(dim, std::move(set));
+    c = end;
+  }
+
+  // Range fields: each elementary interval's row is a class; a field whose
+  // last boundary is below 4096 is indexed by the clamped key instead.
+  for (std::size_t r = 0; fits && r < ranges_.size(); ++r) {
+    const RangeField& rf = ranges_[r];
+    const std::size_t intervals = rf.starts.size();
+    if (intervals > kMaxClassCells) {
+      fits = false;
+      break;
+    }
+    ClassDim dim;
+    dim.field = rf.field;
+    dim.cells = static_cast<std::uint32_t>(cells_.size());
+    ClassSet set(words_, intervals);
+    add_cells(set, intervals, [&](std::size_t i) {
+      std::copy(row(rf.plane_row + i), row(rf.plane_row + i + 1),
+                acc.begin());
+    });
+    if (!fits) break;
+    const std::uint64_t last = rf.starts.back();
+    if (last < 4096) {
+      std::vector<std::uint16_t> of_interval(cells_.begin() + dim.cells,
+                                             cells_.end());
+      cells_.resize(dim.cells);
+      std::size_t i = 0;
+      for (std::uint64_t v = 0; v <= last; ++v) {
+        if (i + 1 < intervals && rf.starts[i + 1] == v) ++i;
+        cells_.push_back(of_interval[i]);
+      }
+      dim.limit = last;
+    } else {
+      dim.range = static_cast<std::uint32_t>(r);
+    }
+    add_dim(dim, std::move(set));
+  }
+
+  // Cross products, pairwise and level by level, down to two nodes.
+  std::uint32_t next_id = static_cast<std::uint32_t>(dims_.size());
+  const auto add_product = [&](const Node& a, const Node& b) {
+    const std::size_t count = a.set.classes() * b.set.classes();
+    fits = fits && count <= kMaxClassCells;
+    if (fits) {
+      products_.push_back({a.id, b.id,
+                           static_cast<std::uint32_t>(b.set.classes()),
+                           static_cast<std::uint32_t>(cells_.size())});
+    }
+    return count;
+  };
+  while (fits && level.size() > 2) {
+    std::vector<Node> next;
+    for (std::size_t i = 0; fits && i + 1 < level.size(); i += 2) {
+      const ClassSet& a = level[i].set;
+      const ClassSet& b = level[i + 1].set;
+      const std::size_t count = add_product(level[i], level[i + 1]);
+      if (!fits) break;
+      ClassSet set(words_, count);
+      add_cells(set, count, [&](std::size_t cell) {
+        const std::uint64_t* sa = a.Set(cell / b.classes());
+        const std::uint64_t* sb = b.Set(cell % b.classes());
+        for (std::size_t w = 0; w < words_; ++w) acc[w] = sa[w] & sb[w];
+      });
+      held += set.held_words();
+      next.push_back({next_id++, std::move(set)});
+    }
+    if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
+    level = std::move(next);
+    held = 0;
+    for (const Node& node : level) held += node.set.held_words();
+  }
+  // The root holds the winning sorted position instead of a class: the
+  // cross product of the last two nodes, or a lone dimension's table.
+  if (fits && level.size() == 2) {
+    const ClassSet& a = level[0].set;
+    const ClassSet& b = level[1].set;
+    add_product(level[0], level[1]);
+    for (std::size_t ca = 0; fits && ca < a.classes(); ++ca) {
+      for (std::size_t cb = 0; cb < b.classes(); ++cb) {
+        cells_.push_back(FirstCommon(a.Set(ca), b.Set(cb), words_));
+      }
+    }
+  } else if (fits && level.size() == 1) {
+    for (std::uint16_t& cell : cells_) {
+      const std::uint64_t* set = level[0].set.Set(cell);
+      cell = FirstCommon(set, set, words_);
+    }
+  }
+  if (!fits) {
+    DropClassTables();
+    return;
+  }
+  cells_.shrink_to_fit();
+  stats_.class_cells = cells_.size();
+}
+
+void MatchIndex::DropClassTables() {
+  // Move-assigning frees the storage; assigning {} would keep it.
+  cells_ = std::vector<std::uint16_t>();
+  dims_ = std::vector<ClassDim>();
+  products_ = std::vector<CrossProduct>();
+  stats_.class_cells = 0;
+}
+
 void MatchIndex::RefreshFootprint() {
   stats_.bytes = (plane_.size() + agg_.size()) * sizeof(std::uint64_t) +
+                 cells_.size() * sizeof(std::uint16_t) +
+                 dims_.size() * sizeof(ClassDim) +
+                 products_.size() * sizeof(CrossProduct) +
                  (order_.size() + pos_of_.size()) * sizeof(std::uint32_t) +
                  arena_.size() * sizeof(std::int64_t) +
                  slices_.size() * sizeof(Slice) + (shared_.size() + 7) / 8;
@@ -159,14 +403,16 @@ std::uint32_t MatchIndex::AddRows(std::size_t count) {
   return static_cast<std::uint32_t>(first);
 }
 
-void MatchIndex::SetBit(std::size_t row, std::size_t pos, bool on) {
+bool MatchIndex::SetBit(std::size_t row, std::size_t pos, bool on) {
   const std::size_t word = pos / 64;
   std::uint64_t& w = plane_[row * words_ + word];
   const std::uint64_t bit = 1ull << (pos % 64);
+  const std::uint64_t was = w;
   w = on ? (w | bit) : (w & ~bit);
   std::uint64_t& a = agg_[row * agg_words_ + word / 64];
   const std::uint64_t agg_bit = 1ull << (word % 64);
   a = w != 0 ? (a | agg_bit) : (a & ~agg_bit);
+  return w != was;
 }
 
 void MatchIndex::BuildTernary(std::span<const TableEntry> entries) {
@@ -277,6 +523,7 @@ void MatchIndex::ApplyDelta(std::span<const EntryPatch> patches) {
   const auto start = std::chrono::steady_clock::now();
   const EntryPatch* prev = nullptr;  // the patch applied just before
   std::size_t prev_pos = 0;
+  bool flipped = false;
   for (const EntryPatch& p : patches) {
     const std::size_t pos = pos_of_[p.entry_index];
     const std::span<const std::int64_t> words(p.action_data);
@@ -313,7 +560,7 @@ void MatchIndex::ApplyDelta(std::span<const EntryPatch> patches) {
       const std::uint64_t m = (r.mask >> c.shift) & 0xf;
       const std::uint64_t v = (r.value >> c.shift) & m;
       for (std::uint64_t nib = 0; nib < 16; ++nib) {
-        SetBit(c.plane_row + nib, pos, (nib & m) == v);
+        flipped |= SetBit(c.plane_row + nib, pos, (nib & m) == v);
       }
     }
     for (const RangeField& rf : ranges_) {
@@ -323,12 +570,14 @@ void MatchIndex::ApplyDelta(std::span<const EntryPatch> patches) {
         const std::uint64_t first = rf.starts[i];
         const std::uint64_t last =
             i + 1 < rf.starts.size() ? rf.starts[i + 1] - 1 : ~0ull;
-        SetBit(rf.plane_row + i, pos, lo <= first && hi >= last);
+        flipped |= SetBit(rf.plane_row + i, pos, lo <= first && hi >= last);
       }
     }
     ++stats_.deltas_applied;
     stats_.leaf_words_patched += p.action_data.size();
   }
+  // The class tables hold each cell's winner; a flipped bit may move one.
+  if (flipped) DropClassTables();
   RefreshFootprint();
   ++stats_.reseals_avoided;
   stats_.delta_apply_ns += static_cast<std::uint64_t>(
@@ -338,6 +587,29 @@ void MatchIndex::ApplyDelta(std::span<const EntryPatch> patches) {
 }
 
 std::int32_t MatchIndex::FindBest(const std::uint64_t* keys) const {
+  if (!dims_.empty()) {
+    const std::uint16_t* cells = cells_.data();
+    std::uint32_t cls[2 * kMaxClassDims];
+    std::size_t n = 0;
+    for (const ClassDim& d : dims_) {
+      const std::uint64_t key = keys[d.field];
+      const std::size_t i =
+          d.range == kNoRange
+              ? static_cast<std::size_t>(
+                    std::min((key >> d.shift) & d.mask, d.limit))
+              : IntervalOf(ranges_[d.range].starts, key);
+      cls[n++] = cells[d.cells + i];
+    }
+    for (const CrossProduct& x : products_) {
+      cls[n++] = cells[x.cells + cls[x.a] * x.classes_b + cls[x.b]];
+    }
+    const std::uint32_t pos = cls[n - 1];
+    return pos == kMissCell ? kMiss : static_cast<std::int32_t>(pos);
+  }
+  return FindByVectors(keys);
+}
+
+std::int32_t MatchIndex::FindByVectors(const std::uint64_t* keys) const {
   if (num_entries_ == 0) return kMiss;
   const std::size_t num_rows = chunks_.size() + ranges_.size();
   // No chunk and no range field: every rule is a catch-all, so the first

@@ -1,37 +1,60 @@
-// Compiled bit-vector match index for ternary/range tables — the classic
-// Lucent bit-vector / DCFL decomposition applied to the software TCAM.
-//
-// A linear TCAM scan costs O(entries) rule evaluations plus a priority
-// compare per matching entry. The index instead precomputes, per key field,
-// the set of entries compatible with every possible field value:
-//
-//   * ternary fields are decomposed into 4-bit nibble chunks; each chunk
-//     owns a 16-row table of entry bitsets (row v = entries whose rule
-//     accepts nibble value v). Arbitrary masks — not just prefixes — are
-//     exactly representable because a ternary rule constrains each nibble
-//     independently: (key & mask) == (value & mask) holds iff it holds
-//     nibble-by-nibble. Chunks only cover bits some entry actually masks;
-//     higher key bits cannot influence any rule and are skipped.
-//   * range fields are decomposed into sorted disjoint elementary
-//     intervals (boundaries = every entry's lo and hi+1); each interval
-//     owns the bitset of entries whose [lo, hi] covers it. A lookup finds
-//     its interval with one branch-free binary search per field.
+// Compiled match index for ternary/range tables: Recursive Flow
+// Classification (RFC, Gupta & McKeown, SIGCOMM 1999) compiled from the
+// Lucent bit-vector / DCFL decomposition of the software TCAM.
 //
 // Entries are pre-sorted by (priority desc, insertion order asc), so the
-// winner is the first set bit of the AND of the per-field rows — no
+// winner of any set of matching entries is its lowest sorted position — no
 // per-entry priority compares survive to lookup time.
 //
-// Aggregated bit vectors (ABV, Baboescu & Varghese, SIGCOMM 2001): every
-// row also carries ceil(words/64) aggregate words, where bit w is set iff
-// row word w is nonzero. A lookup gathers one row per nibble chunk and per
-// range field, ANDs their aggregates into candidate words, and ANDs the
-// full rows only at those candidates, in ascending order; the first nonzero
-// AND holds the winner.
+// Class tables (the serving path), with 16-bit cells:
 //
-// Lookup cost: one row gather (a shift per chunk, a binary search per range
-// field), sum(rows) ANDs per aggregate word, and sum(rows) ANDs per
-// candidate word visited. No accumulator of ceil(entries/64) words is
-// written, and tables up to 4096 entries have a single aggregate word.
+//   * a dimension is a window of at most 12 bits of one ternary field
+//     (whole nibble chunks; the field's top window is trimmed to the bits
+//     some rule tells apart) or one range field. Its table maps every
+//     window value — for a range field, every key up to its last interval
+//     boundary, or every elementary interval when that boundary is 4096 or
+//     more — to a class: the id of one distinct set of compatible entries;
+//   * dimensions combine pairwise, level by level, into cross-product
+//     tables indexed by a * classes_b + b, whose cells hold the class of
+//     the two classes' intersection; the last table's cells hold the
+//     winning sorted position (the set's first entry) or a miss sentinel.
+//
+// Lookup cost: one load per dimension (after a shift and mask, a clamp, or
+// for a wide range field a branch-free binary search) plus one per cross
+// product, with no bitset AND and no data-dependent loop. A table keyed on
+// two fields of up to 12 bits answers in three loads.
+//
+// Budget: class tables are built only when the index has fewer than 65,535
+// entries (every position and the miss sentinel fit a cell), at most 16
+// dimensions, every table fits in 2^16 cells, and the class sets held
+// while building take at most 32 MiB. Otherwise the index serves by
+// aggregated bit vectors (ABV, Baboescu & Varghese, SIGCOMM 2001) over the
+// bit planes below: every plane row also carries ceil(words/64) aggregate
+// words, where bit w is set iff row word w is nonzero. That lookup gathers
+// one row per nibble chunk and per range field, ANDs their aggregates into
+// candidate words, and ANDs the full rows only at those candidates, in
+// ascending order; the first nonzero AND holds the winner. It costs
+// sum(rows) ANDs per aggregate word and per candidate word visited.
+//
+// Bit planes (what the class tables are compiled from, the ABV path and
+// the delta source). Per key field, the set of entries compatible with
+// every field value, as one bitset row over sorted positions:
+//
+//   * ternary fields are decomposed into 4-bit nibble chunks; each chunk
+//     owns a 16-row table (row v = entries whose rule accepts nibble value
+//     v). Arbitrary masks — not just prefixes — are exactly representable
+//     because a ternary rule constrains each nibble independently:
+//     (key & mask) == (value & mask) holds iff it holds nibble-by-nibble.
+//     Chunks only cover bits some entry actually masks; higher key bits
+//     cannot influence any rule and are skipped.
+//   * range fields are decomposed into sorted disjoint elementary
+//     intervals (boundaries = every entry's lo and hi+1); each interval
+//     owns the row of entries whose [lo, hi] covers it.
+//
+// Deltas patch the planes and aggregates. A batch that leaves every plane
+// bit as it was (new action words on the same rules, the planner's only
+// delta kind) keeps the class tables; one that flips any bit drops them,
+// and the index serves by ABV, exactly, until the table is sealed again.
 //
 // Action data: CRC expands one leaf into many entries carrying identical
 // words, so the arena stores each distinct slice once and every sorted
@@ -65,9 +88,12 @@ struct MatchIndexStats {
   std::size_t intervals = 0;
   /// Ternary fields: nibble chunk tables built (16 bitset rows each).
   std::size_t nibble_chunks = 0;
-  /// Resident footprint of the bitset planes + aggregates + boundaries +
-  /// arena and its slice table; kept current across deltas, and never
-  /// above the footprint of the same index with no slice shared.
+  /// 16-bit cells across the class tables; 0 when the index serves by
+  /// aggregated bit vectors (over budget, or a delta flipped a plane bit).
+  std::size_t class_cells = 0;
+  /// Resident footprint of the class tables + bitset planes + aggregates +
+  /// boundaries + arena and its slice table; kept current across deltas,
+  /// and never above the footprint of the same index with no slice shared.
   std::size_t bytes = 0;
   double build_ms = 0.0;
   /// O(delta) update counters: in-place patches applied without a reseal.
@@ -120,6 +146,7 @@ class MatchIndex {
   /// action slice (copy-on-write, see above) and flips its bits in every
   /// chunk/interval row and their aggregates. Amortized O(patch words)
   /// plus O(rows touched) per patch; a cloned index stays independent.
+  /// If any plane bit flips, the class tables are dropped (see above).
   /// Every patch must satisfy CanAbsorb.
   void ApplyDelta(std::span<const EntryPatch> patches);
 
@@ -143,14 +170,41 @@ class MatchIndex {
     std::uint32_t offset = 0;
     std::uint32_t size = 0;
   };
+  static constexpr std::uint32_t kNoRange = ~0u;
+  /// One class-table dimension. Its cell index is
+  /// min((key >> shift) & mask, limit) — a ternary window, or a range field
+  /// whose last boundary is below 4096 — or, when `range` names a range
+  /// field, the key's elementary interval in ranges_[range].
+  struct ClassDim {
+    std::uint32_t field = 0;
+    std::uint32_t shift = 0;
+    std::uint64_t mask = ~0ull;
+    std::uint64_t limit = ~0ull;
+    std::uint32_t range = kNoRange;
+    std::uint32_t cells = 0;  // first cell in cells_
+  };
+  /// One cross product of two earlier nodes (dimensions are nodes
+  /// 0..dims-1, then products in order): cell a * classes_b + b.
+  struct CrossProduct {
+    std::uint32_t a = 0;
+    std::uint32_t b = 0;
+    std::uint32_t classes_b = 0;
+    std::uint32_t cells = 0;  // first cell in cells_
+  };
 
   void BuildTernary(std::span<const TableEntry> entries);
   void BuildRange(std::span<const TableEntry> entries);
+  /// Compiles the planes into class tables when they fit the budget;
+  /// otherwise leaves them empty and the index serves by ABV.
+  void BuildClassTables();
+  void DropClassTables();
+  /// FindBest by aggregated bit vectors: the path without class tables.
+  std::int32_t FindByVectors(const std::uint64_t* keys) const;
   /// Appends `count` all-zero plane rows; returns the first new row.
   std::uint32_t AddRows(std::size_t count);
   /// Sets or clears sorted position `pos` in `row`, keeping the row's
-  /// aggregate word exact.
-  void SetBit(std::size_t row, std::size_t pos, bool on);
+  /// aggregate word exact; returns whether the bit changed.
+  bool SetBit(std::size_t row, std::size_t pos, bool on);
   /// Rebuilds the arena from `words_of(pos)` for every position, storing
   /// each distinct slice once, and recomputes shared_ exactly.
   template <class WordsOf>
@@ -166,6 +220,10 @@ class MatchIndex {
   std::vector<std::uint64_t> agg_;    // all aggregate rows, row-major
   std::vector<NibbleChunk> chunks_;
   std::vector<RangeField> ranges_;
+  /// Class tables; all three are empty when the index serves by ABV.
+  std::vector<std::uint16_t> cells_;
+  std::vector<ClassDim> dims_;
+  std::vector<CrossProduct> products_;
   /// sorted position -> original entry index ((priority desc, idx asc)).
   std::vector<std::uint32_t> order_;
   /// original entry index -> sorted position (inverse of order_), so a

@@ -96,8 +96,10 @@ Pipeline::IndexReport Pipeline::MatchIndexReport() const {
       const MatchIndexStats* s = table->index_stats();
       if (s == nullptr) continue;
       ++r.indexed_tables;
+      if (s->class_cells != 0) ++r.classified_tables;
       r.intervals += s->intervals;
       r.nibble_chunks += s->nibble_chunks;
+      r.class_cells += s->class_cells;
       r.bytes += s->bytes;
       r.build_ms += s->build_ms;
       r.deltas_applied += s->deltas_applied;

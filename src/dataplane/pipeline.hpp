@@ -81,8 +81,11 @@ class Pipeline {
   /// Aggregate match-index build stats across all placed tables.
   struct IndexReport {
     std::size_t indexed_tables = 0;
+    /// Indexed tables serving from class tables (the rest serve by ABV).
+    std::size_t classified_tables = 0;
     std::size_t intervals = 0;
     std::size_t nibble_chunks = 0;
+    std::size_t class_cells = 0;
     std::size_t bytes = 0;
     double build_ms = 0.0;
     // O(delta) update counters (see MatchIndexStats).

@@ -423,8 +423,8 @@ std::size_t MatchActionTable::ApplyBatch(std::span<Phv> batch) const {
     }
   }
   if (index_) {
-    // Sealed path: one bit-vector probe per packet; the index is already
-    // entry-order-free (priority is encoded in bitset position).
+    // Sealed path: one index probe per packet; the index is already
+    // entry-order-free (priority is encoded in sorted position).
     std::size_t hits = 0;
     for (std::size_t p = 0; p < n; ++p) {
       const std::int32_t pos = index_->FindBest(keys.data() + p * nk);

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "runtime/fault.hpp"
 #include "runtime/spsc_queue.hpp"
@@ -1025,9 +1026,21 @@ std::vector<StreamDecision> StreamServer::TakeDecisions() {
     throw std::logic_error(
         "StreamServer::TakeDecisions: workers are running (Stop first)");
   }
-  std::vector<StreamDecision> out;
   std::size_t total = 0;
-  for (auto& shard : shards_) total += shard->decisions.size();
+  std::size_t holders = 0;
+  Shard* holder = nullptr;
+  for (auto& shard : shards_) {
+    total += shard->decisions.size();
+    if (!shard->decisions.empty()) {
+      ++holders;
+      holder = shard.get();
+    }
+  }
+  // One shard holds every decision (always so with one shard): hand its
+  // vector over rather than copy it, so no second copy outlives the call.
+  if (holders == 0) return {};
+  if (holders == 1) return std::exchange(holder->decisions, {});
+  std::vector<StreamDecision> out;
   out.reserve(total);
   for (auto& shard : shards_) {
     out.insert(out.end(), shard->decisions.begin(), shard->decisions.end());

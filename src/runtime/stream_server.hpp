@@ -443,8 +443,10 @@ class StreamServer {
   std::vector<StreamDecision> Serve(PartitionedPacketSource& source);
 
   /// Moves out the accumulated decisions, shard-major (within a shard:
-  /// processing order). Throws std::logic_error while workers are running
-  /// (the shards are owned by their worker threads until Stop()).
+  /// processing order), leaving every shard's sink empty; when one shard
+  /// holds them all, its vector itself is handed over, not copied. Throws
+  /// std::logic_error while workers are running (the shards are owned by
+  /// their worker threads until Stop()).
   std::vector<StreamDecision> TakeDecisions();
 
   /// TelemetrySnapshot() plus the flow tables, engines and register

@@ -1,8 +1,9 @@
-// Property tests for the compiled bit-vector match index: the sealed
-// (indexed) lookup path must be bit-identical to the linear-scan reference
-// on randomized ternary/range tables — same winners under priority ties,
-// same misses, same PHV contents after Apply/ApplyBatch, with entries
-// sharing action-data slices — plus seal/mutate lifecycle and exact-match
+// Property tests for the compiled match index: the sealed (indexed) lookup
+// path must be bit-identical to the linear-scan reference on randomized
+// ternary/range tables — same winners under priority ties, same misses,
+// same PHV contents after Apply/ApplyBatch, with entries sharing
+// action-data slices — whether the index serves from class tables or by
+// aggregated bit vectors, plus seal/mutate lifecycle and exact-match
 // hash-collision coverage.
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "dataplane/crc.hpp"
 #include "dataplane/match_index.hpp"
 #include "dataplane/pipeline.hpp"
 #include "dataplane/table.hpp"
@@ -514,7 +516,9 @@ TEST(MatchIndex, PlaceTableSealsAndPipelineReportsIndex) {
   EXPECT_TRUE(pipe.FullySealed());
   const auto report = pipe.MatchIndexReport();
   EXPECT_EQ(report.indexed_tables, 1u);
+  EXPECT_EQ(report.classified_tables, 1u);
   EXPECT_GT(report.nibble_chunks, 0u);
+  EXPECT_GT(report.class_cells, 0u);
   EXPECT_GT(report.bytes, 0u);
 
   dp::Phv phv(layout);
@@ -730,13 +734,16 @@ TEST(MatchIndexDelta, DeltaRoundsMatchFreshSealWithinArenaBudget) {
     bool compacted = false;
     for (int round = 0; round < 150; ++round) {
       const std::size_t before = stats->bytes;
+      // Dropping the class tables shrinks bytes too: only a round that
+      // starts without them shows a compaction.
+      const bool classified = stats->class_cells != 0;
       const auto patches = RandomAbsorbablePatches(rng, kind, entries, widths,
                                                    1 + rng() % 6);
       p.indexed->ApplyDelta(patches);
       p.linear->ApplyDelta(patches);
       ASSERT_EQ(p.indexed->index_stats(), stats) << "no index rebuild";
       ASSERT_LE(stats->bytes, budget_bytes) << "round " << round;
-      compacted |= stats->bytes < before;
+      compacted |= !classified && stats->bytes < before;
 
       const TablePair fresh = MakePair(kind, widths, entries);
       for (int probe = 0; probe < 40; ++probe) {
@@ -961,4 +968,263 @@ TEST(MatchIndexDelta, CloneIsIndependentAndPreservesIndex) {
   phv.Set(p.keys[0], 5);
   EXPECT_EQ(clone->Lookup(phv), std::nullopt);
   EXPECT_EQ(p.indexed->Lookup(phv), std::optional<std::size_t>{5});
+}
+
+// ---------------------------------------------------------------------------
+// Class tables: which path serves — class tables within the budget, bit
+// vectors past it or after a delta that flips a plane bit — and either way
+// the answers equal the linear reference.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A fuzzy tree's leaves: the key space [0, 2^bits)^dims cut into
+/// `leaves` boxes by random axis-aligned splits.
+struct LeafBox {
+  std::vector<std::uint64_t> lo;
+  std::vector<std::uint64_t> hi;
+};
+std::vector<LeafBox> RandomLeafBoxes(std::mt19937_64& rng, std::size_t dims,
+                                     int bits, std::size_t leaves) {
+  std::vector<LeafBox> boxes{{std::vector<std::uint64_t>(dims, 0),
+                              std::vector<std::uint64_t>(
+                                  dims, (std::uint64_t{1} << bits) - 1)}};
+  while (boxes.size() < leaves) {
+    LeafBox& box = boxes[rng() % boxes.size()];
+    const std::size_t d = rng() % dims;
+    if (box.lo[d] == box.hi[d]) continue;
+    LeafBox upper = box;
+    const std::uint64_t cut = box.lo[d] + rng() % (box.hi[d] - box.lo[d]);
+    box.hi[d] = cut;
+    upper.lo[d] = cut + 1;
+    boxes.push_back(std::move(upper));
+  }
+  return boxes;
+}
+
+/// A lowered Map table's entries: two 10-bit fields, each leaf box
+/// expanded with RangeToTernary into the cross product of its per-field
+/// rules, every expanded entry carrying its leaf's words. Every fifth leaf
+/// is left out, so some keys miss.
+std::vector<dp::TableEntry> LoweredMapEntries(std::mt19937_64& rng,
+                                              std::size_t leaves) {
+  const auto boxes = RandomLeafBoxes(rng, 2, 10, leaves);
+  std::vector<dp::TableEntry> entries;
+  for (std::size_t leaf = 0; leaf < boxes.size(); ++leaf) {
+    if (leaf % 5 == 4) continue;
+    const LeafBox& box = boxes[leaf];
+    const auto word = static_cast<std::int64_t>(leaf);
+    for (const auto& r0 : dp::RangeToTernary(box.lo[0], box.hi[0], 10)) {
+      for (const auto& r1 : dp::RangeToTernary(box.lo[1], box.hi[1], 10)) {
+        entries.push_back({.ternary = {r0, r1}, .action_data = {word, -word}});
+      }
+    }
+  }
+  return entries;
+}
+
+std::size_t ClassCells(const TablePair& p) {
+  return p.indexed->index_stats()->class_cells;
+}
+
+/// Random keys (overwide ones included) and keys seeded from entries.
+void ExpectTernaryMatchesLinear(const TablePair& p, std::mt19937_64& rng,
+                                const std::vector<int>& widths,
+                                const std::vector<dp::TableEntry>& entries) {
+  for (int probe = 0; probe < 400; ++probe) {
+    ExpectSameLookup(p, RandomKey(rng, widths, /*allow_overwide=*/true));
+  }
+  for (std::size_t e = 0; e < entries.size(); e += 3) {
+    std::vector<std::uint64_t> key;
+    for (const dp::TernaryRule& r : entries[e].ternary) {
+      key.push_back(r.value ^ (rng() % 3 == 0 ? 1ull : 0ull));
+    }
+    ExpectSameLookup(p, key);
+  }
+}
+
+}  // namespace
+
+TEST(MatchIndexClasses, LoweredMapTableServesFromClassTables) {
+  std::mt19937_64 rng(4242);
+  for (const std::size_t leaves : {8, 40, 120}) {
+    const auto entries = LoweredMapEntries(rng, leaves);
+    const TablePair p = MakePair(dp::MatchKind::kTernary, {10, 10}, entries);
+    ASSERT_NE(p.indexed->index_stats(), nullptr);
+    EXPECT_GT(ClassCells(p), 0u) << leaves << " leaves";
+    ExpectTernaryMatchesLinear(p, rng, {10, 10}, entries);
+  }
+}
+
+TEST(MatchIndexClasses, LoweredRangeTablesServeFromClassTables) {
+  // One entry per leaf box, every fifth leaf left out. Four 8-bit fields
+  // are CNN-M's shape (three cross products); three fields leave an odd
+  // node over at the first level, and a 16-bit field's interval is
+  // searched before its table is read.
+  std::mt19937_64 rng(31337);
+  for (const std::vector<int>& widths :
+       {std::vector<int>{8, 8, 8, 8}, std::vector<int>{8, 16, 10}}) {
+    const auto boxes = RandomLeafBoxes(rng, widths.size(), 8, 60);
+    std::vector<dp::TableEntry> entries;
+    for (std::size_t leaf = 0; leaf < boxes.size(); ++leaf) {
+      if (leaf % 5 == 4) continue;
+      entries.push_back({.range_lo = boxes[leaf].lo,
+                         .range_hi = boxes[leaf].hi,
+                         .action_data = PoolWords(rng, 2)});
+      // Stretch the middle field of the three-field shape past 4096.
+      if (widths.size() == 3) {
+        entries.back().range_lo[1] *= 200;
+        entries.back().range_hi[1] = entries.back().range_hi[1] * 200 + 199;
+      }
+    }
+    const TablePair p = MakePair(dp::MatchKind::kRange, widths, entries);
+    EXPECT_GT(ClassCells(p), 0u) << widths.size() << " fields";
+    for (int probe = 0; probe < 600; ++probe) {
+      ExpectSameLookup(p, RandomKey(rng, widths, /*allow_overwide=*/false));
+    }
+    for (const dp::TableEntry& e : entries) {
+      ExpectSameLookup(p, e.range_lo);
+      ExpectSameLookup(p, e.range_hi);
+    }
+  }
+}
+
+TEST(MatchIndexClasses, OverBudgetTableServesByBitVectors) {
+  // Three fields under random 16-bit masks: each field's 12-bit windows
+  // split into thousands of classes, so the cross products pass 2^16
+  // cells and the index keeps serving by aggregated bit vectors.
+  std::mt19937_64 rng(99);
+  const std::vector<int> widths = {16, 16, 16};
+  std::vector<dp::TableEntry> entries;
+  for (std::size_t e = 0; e < 300; ++e) {
+    dp::TableEntry entry;
+    for (std::size_t d = 0; d < widths.size(); ++d) {
+      entry.ternary.push_back({rng() & 0xffff, rng() & 0xffff});
+    }
+    entry.priority = static_cast<int>(rng() % 4);
+    entry.action_data = PoolWords(rng, 2);
+    entries.push_back(entry);
+  }
+  const TablePair p = MakePair(dp::MatchKind::kTernary, widths, entries);
+  ASSERT_NE(p.indexed->index_stats(), nullptr);
+  EXPECT_EQ(ClassCells(p), 0u);
+  ExpectTernaryMatchesLinear(p, rng, widths, entries);
+}
+
+TEST(MatchIndexClasses, SixteenDimensionsAtMost) {
+  // One 4-bit field is one dimension. Every entry pins each field to 0
+  // or 1, so no node has more classes than entries + 1 and every table
+  // stays small: only the dimension count decides the path.
+  std::mt19937_64 rng(1616);
+  for (const std::size_t fields : {16, 17}) {
+    const std::vector<int> widths(fields, 4);
+    std::vector<dp::TableEntry> entries;
+    for (std::size_t e = 0; e < 40; ++e) {
+      dp::TableEntry entry;
+      for (std::size_t f = 0; f < fields; ++f) {
+        entry.ternary.push_back({rng() & 1, 0xf});
+      }
+      entry.priority = static_cast<int>(rng() % 3);
+      entry.action_data = PoolWords(rng, 1);
+      entries.push_back(entry);
+    }
+    const TablePair p = MakePair(dp::MatchKind::kTernary, widths, entries);
+    if (fields <= 16) {
+      EXPECT_GT(ClassCells(p), 0u) << fields << " fields";
+    } else {
+      EXPECT_EQ(ClassCells(p), 0u) << fields << " fields";
+    }
+    ExpectTernaryMatchesLinear(p, rng, widths, entries);
+  }
+}
+
+TEST(MatchIndexClasses, DeltasKeepClassTablesUnlessAPlaneBitFlips) {
+  std::mt19937_64 rng(777);
+  const std::vector<int> widths = {10, 10};
+  auto entries = LoweredMapEntries(rng, 40);
+  TablePair p = MakePair(dp::MatchKind::kTernary, widths, entries);
+  const dp::MatchIndexStats* stats = p.indexed->index_stats();
+  const std::size_t cells = stats->class_cells;
+  ASSERT_GT(cells, 0u);
+  const auto expect_fresh_seal = [&] {
+    const TablePair fresh = MakePair(dp::MatchKind::kTernary, widths, entries);
+    EXPECT_GT(ClassCells(fresh), 0u);
+    for (int probe = 0; probe < 300; ++probe) {
+      ExpectSameDecision(p, fresh, RandomKey(rng, widths, false));
+    }
+    for (const dp::TableEntry& e : entries) {
+      ExpectSameDecision(p, fresh, EntryKey(dp::MatchKind::kTernary, e));
+    }
+  };
+
+  // New words on the same rules, the planner's only delta kind.
+  std::vector<dp::EntryPatch> patches;
+  for (std::size_t e = 0; e < entries.size(); e += 4) {
+    entries[e].action_data = {static_cast<std::int64_t>(1000 + e), 5};
+    patches.push_back({.entry_index = e,
+                       .ternary = entries[e].ternary,
+                       .priority = entries[e].priority,
+                       .action_data = entries[e].action_data});
+  }
+  p.indexed->ApplyDelta(patches);
+  p.linear->ApplyDelta(patches);
+  ASSERT_EQ(p.indexed->index_stats(), stats) << "no index rebuild";
+  EXPECT_EQ(stats->class_cells, cells) << "no plane bit flipped";
+  expect_fresh_seal();
+
+  // Another leaf's rules on entry 1 flip plane bits: the class tables go
+  // and the bit vectors serve, still exactly.
+  const std::size_t bytes = stats->bytes;
+  const std::size_t donor = entries.size() / 2;
+  ASSERT_NE(entries[donor].ternary, entries[1].ternary);
+  entries[1].ternary = entries[donor].ternary;
+  const std::vector<dp::EntryPatch> flip{{.entry_index = 1,
+                                          .ternary = entries[1].ternary,
+                                          .priority = entries[1].priority,
+                                          .action_data = entries[1].action_data}};
+  p.indexed->ApplyDelta(flip);
+  p.linear->ApplyDelta(flip);
+  EXPECT_EQ(stats->class_cells, 0u);
+  EXPECT_LT(stats->bytes, bytes);
+  expect_fresh_seal();
+}
+
+TEST(MatchIndexClasses, RangeEdgesOnBothRangePaths) {
+  // A last boundary below 4096 indexes the clamped key (one cell per key
+  // value up to it); from 4096 on, the key's interval is searched first
+  // (one cell per interval). Keys at the last boundary, just above it and
+  // at 2^64-1 all fall in the last interval: covered or not.
+  for (const std::uint64_t last : {1000ull, 4095ull, 4096ull, 70000ull}) {
+    for (const bool open_top : {false, true}) {
+      std::mt19937_64 rng(last + open_top);
+      std::vector<dp::TableEntry> entries;
+      for (std::size_t e = 0; e < 24; ++e) {
+        std::uint64_t lo = rng() % last, hi = rng() % last;
+        if (lo > hi) std::swap(lo, hi);
+        entries.push_back({.range_lo = {lo},
+                           .range_hi = {hi},
+                           .priority = static_cast<int>(e % 3),
+                           .action_data = {static_cast<std::int64_t>(e)}});
+      }
+      // hi + 1 == last: the last boundary.
+      entries.push_back({.range_lo = {last - 10}, .range_hi = {last - 1},
+                         .priority = 1, .action_data = {100}});
+      if (open_top) {
+        entries.push_back({.range_lo = {last}, .range_hi = {~0ull},
+                           .priority = 0, .action_data = {200}});
+      }
+      const TablePair p = MakePair(dp::MatchKind::kRange, {64}, entries);
+      const dp::MatchIndexStats& stats = *p.indexed->index_stats();
+      EXPECT_EQ(stats.class_cells, last < 4096 ? last + 1 : stats.intervals)
+          << "last " << last;
+      for (const std::uint64_t key :
+           {std::uint64_t{0}, last - 1, last, last + 1, 2 * last,
+            ~std::uint64_t{1}, ~std::uint64_t{0}}) {
+        ExpectSameLookup(p, {key});
+      }
+      for (int probe = 0; probe < 200; ++probe) {
+        ExpectSameLookup(p, {rng() % (last + 64)});
+      }
+    }
+  }
 }

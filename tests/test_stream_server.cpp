@@ -204,6 +204,50 @@ TEST(StreamServer, ShardStateIsInaccessibleWhileWorkersRun) {
   EXPECT_THROW(st_server.Start(), std::logic_error);
 }
 
+TEST(StreamServer, TakeDecisionsReturnsEachRoundOnce) {
+  // One shard holds every decision, so TakeDecisions hands its sink over
+  // instead of copying it. Two Push/Flush/TakeDecisions rounds must each
+  // return exactly their own round's decisions: the first equals a fresh
+  // server serving the first half, and together they equal one run over
+  // the whole trace, nothing repeated and nothing lost.
+  const auto ds = tr::Generate(tr::PeerRushSpec(6, 31));
+  const auto offline = tr::ExtractSeqFeatures(ds.flows);
+  const auto lowered = Build16DimModel(offline.x, offline.size(), 5);
+  const auto trace = tr::MergeTrace(ds.flows);
+  const std::size_t half = trace.size() / 2;
+  rt::StreamServerOptions opts;
+  opts.num_shards = 1;
+  opts.feature = rt::FeatureKind::kSeq;
+
+  rt::StreamServer server(lowered, opts);
+  std::vector<rt::StreamDecision> got;
+  std::size_t first_round = 0;
+  for (const auto& [begin, end] : {std::pair{std::size_t{0}, half},
+                                   std::pair{half, trace.size()}}) {
+    for (std::size_t i = begin; i < end; ++i) server.Push(trace[i]);
+    server.Flush();
+    const auto round = server.TakeDecisions();
+    ASSERT_FALSE(round.empty());
+    if (begin == 0) first_round = round.size();
+    got.insert(got.end(), round.begin(), round.end());
+  }
+  EXPECT_TRUE(server.TakeDecisions().empty());
+  EXPECT_EQ(server.Stats().decisions, got.size());
+
+  rt::StreamServer first_half(lowered, opts);
+  EXPECT_EQ(first_half.Serve(std::span(trace).first(half)).size(),
+            first_round);
+  rt::StreamServer whole(lowered, opts);
+  const auto want = whole.Serve(trace);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].flow, want[i].flow) << i;
+    EXPECT_EQ(got[i].index, want[i].index) << i;
+    EXPECT_EQ(got[i].predicted, want[i].predicted) << i;
+    EXPECT_EQ(got[i].score, want[i].score) << i;
+  }
+}
+
 TEST(StreamServer, EvictionPressureRestartsFlowsButKeepsServing) {
   const auto ds = tr::Generate(tr::PeerRushSpec(20, 9));
   const auto offline = tr::ExtractSeqFeatures(ds.flows);
