@@ -695,7 +695,9 @@ TEST(MatchIndexDelta, DeltaRoundsMatchFreshSealWithinArenaBudget) {
   // patches sharing one append, and compactions once the arena reaches
   // its budget. After every round the index must decide like a fresh
   // seal, and its footprint must stay within that of the same index with
-  // no slice shared — every entry's words stored once, the budget.
+  // no slice shared — every entry's words stored once, the budget — on
+  // the same serving path: a delta that moves a rule drops the class
+  // tables, so from then on the budget is the twin's without them.
   std::mt19937_64 rng(5150);
   for (const dp::MatchKind kind :
        {dp::MatchKind::kTernary, dp::MatchKind::kRange}) {
@@ -724,13 +726,28 @@ TEST(MatchIndexDelta, DeltaRoundsMatchFreshSealWithinArenaBudget) {
         w += 1000 * static_cast<std::int64_t>(e + 1);
       }
     }
-    const std::size_t budget_bytes =
-        MakePair(kind, widths, unshared).indexed->index_stats()->bytes;
+    TablePair twin = MakePair(kind, widths, unshared);
+    const dp::MatchIndexStats& twin_stats = *twin.indexed->index_stats();
+    const std::size_t twin_cells = twin_stats.class_cells;
+    ASSERT_GT(twin_cells, 0u);
+    const std::size_t classified_budget = twin_stats.bytes;
+    // Entry 0 takes entry 1's rules and keeps its own words, which only it
+    // uses: they are rewritten in place and the arena stays as it was.
+    dp::EntryPatch move;
+    move.priority = unshared[0].priority;
+    move.ternary = unshared[1].ternary;
+    move.range_lo = unshared[1].range_lo;
+    move.range_hi = unshared[1].range_hi;
+    move.action_data = unshared[0].action_data;
+    twin.indexed->ApplyDelta(std::span(&move, 1));
+    ASSERT_EQ(twin_stats.class_cells, 0u) << "the move must flip a bit";
+    const std::size_t vector_budget = twin_stats.bytes;
 
     TablePair p = MakePair(kind, widths, entries);
     const dp::MatchIndexStats* stats = p.indexed->index_stats();
     ASSERT_NE(stats, nullptr);
-    ASSERT_LT(stats->bytes, budget_bytes) << "pooled words must be shared";
+    ASSERT_EQ(stats->class_cells, twin_cells) << "same rules, same tables";
+    ASSERT_LT(stats->bytes, classified_budget) << "pooled words must be shared";
     bool compacted = false;
     for (int round = 0; round < 150; ++round) {
       const std::size_t before = stats->bytes;
@@ -742,7 +759,9 @@ TEST(MatchIndexDelta, DeltaRoundsMatchFreshSealWithinArenaBudget) {
       p.indexed->ApplyDelta(patches);
       p.linear->ApplyDelta(patches);
       ASSERT_EQ(p.indexed->index_stats(), stats) << "no index rebuild";
-      ASSERT_LE(stats->bytes, budget_bytes) << "round " << round;
+      ASSERT_LE(stats->bytes, stats->class_cells != 0 ? classified_budget
+                                                      : vector_budget)
+          << "round " << round;
       compacted |= !classified && stats->bytes < before;
 
       const TablePair fresh = MakePair(kind, widths, entries);
