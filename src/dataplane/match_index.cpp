@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "dataplane/phv.hpp"
 #include "dataplane/table.hpp"
 
 namespace pegasus::dataplane {
@@ -122,7 +123,14 @@ MatchIndex::MatchIndex(std::span<const TableEntry> entries,
     pos_of_[order_[pos]] = static_cast<std::uint32_t>(pos);
   }
 
-  for (const TableEntry& e : entries) arena_budget_ += e.action_data.size();
+  for (const TableEntry& e : entries) {
+    if (!std::ranges::all_of(e.action_data, InValueDomain)) {
+      throw std::invalid_argument(
+          "MatchIndex: action word outside the PHV value domain");
+    }
+    arena_budget_ += e.action_data.size();
+    min_words_ = std::min(min_words_, e.action_data.size());
+  }
   if (arena_budget_ > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("MatchIndex: action data exceeds 2^32 words");
   }
@@ -162,7 +170,7 @@ MatchIndex::MatchIndex(std::span<const TableEntry> entries,
 
 template <class WordsOf>
 void MatchIndex::InternSlices(WordsOf words_of) {
-  std::vector<std::int64_t> arena;
+  std::vector<std::int32_t> arena;
   std::vector<Slice> distinct;
   std::vector<std::uint32_t> refs;
   std::vector<std::uint32_t> slice_of(num_entries_);
@@ -171,7 +179,7 @@ void MatchIndex::InternSlices(WordsOf words_of) {
   const std::size_t mask = std::bit_ceil(2 * num_entries_ + 1) - 1;
   std::vector<std::uint32_t> slots(mask + 1, 0);
   for (std::size_t pos = 0; pos < num_entries_; ++pos) {
-    const std::span<const std::int64_t> words = words_of(pos);
+    const auto words = words_of(pos);
     std::size_t probe = HashWords(words) & mask;
     while (slots[probe] != 0) {
       const Slice s = distinct[slots[probe] - 1];
@@ -186,6 +194,7 @@ void MatchIndex::InternSlices(WordsOf words_of) {
       distinct.push_back({static_cast<std::uint32_t>(arena.size()),
                           static_cast<std::uint32_t>(words.size())});
       refs.push_back(0);
+      // One bulk insert, narrowing each word (its domain was checked).
       arena.insert(arena.end(), words.begin(), words.end());
       slots[probe] = static_cast<std::uint32_t>(distinct.size());
     }
@@ -204,7 +213,7 @@ void MatchIndex::InternSlices(WordsOf words_of) {
 void MatchIndex::CompactArena() {
   InternSlices([this](std::size_t pos) {
     const Slice s = slices_[pos];
-    return std::span<const std::int64_t>(arena_.data() + s.offset, s.size);
+    return std::span<const std::int32_t>(arena_.data() + s.offset, s.size);
   });
 }
 
@@ -390,7 +399,7 @@ void MatchIndex::RefreshFootprint() {
                  dims_.size() * sizeof(ClassDim) +
                  products_.size() * sizeof(CrossProduct) +
                  (order_.size() + pos_of_.size()) * sizeof(std::uint32_t) +
-                 arena_.size() * sizeof(std::int64_t) +
+                 arena_.size() * sizeof(std::int32_t) +
                  slices_.size() * sizeof(Slice) + (shared_.size() + 7) / 8;
   for (const RangeField& rf : ranges_) {
     stats_.bytes += rf.starts.size() * sizeof(std::uint64_t);
@@ -480,6 +489,10 @@ void MatchIndex::BuildRange(std::span<const TableEntry> entries) {
 }
 
 bool MatchIndex::CanAbsorb(const EntryPatch& patch) const {
+  if (!std::ranges::all_of(patch.action_data, InValueDomain)) {
+    throw std::invalid_argument(
+        "MatchIndex: patch action word outside the PHV value domain");
+  }
   if (patch.entry_index >= num_entries_) return false;
   const std::size_t pos = pos_of_[patch.entry_index];
   // The arena budget (sum of entries' words) holds only if every slice

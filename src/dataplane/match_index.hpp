@@ -58,7 +58,10 @@
 //
 // Action data: CRC expands one leaf into many entries carrying identical
 // words, so the arena stores each distinct slice once and every sorted
-// position keeps an {offset, size} pair into it. Deltas are copy-on-write:
+// position keeps an {offset, size} pair into it. Arena words are int32, the
+// PHV's own width: the constructor and CanAbsorb reject any word outside
+// the PHV value domain (dataplane/phv.hpp), so narrowing is exact and the
+// table's action runs read the arena directly. Deltas are copy-on-write:
 // a slice another position may still use is never written; the patched
 // position gets a fresh slice appended to the arena (consecutive patches
 // with identical words share one append), and a slice only one position
@@ -114,7 +117,8 @@ class MatchIndex {
   /// Compiles the index. `kind_is_ternary` selects the nibble-chunk
   /// decomposition; otherwise entries' range_lo/range_hi are used. Field
   /// coverage is derived from the rules themselves (mask union /
-  /// boundaries), so declared key widths are not needed.
+  /// boundaries), so declared key widths are not needed. Throws
+  /// std::invalid_argument for an action word outside the PHV value domain.
   MatchIndex(std::span<const TableEntry> entries, bool kind_is_ternary);
 
   /// Highest-priority match for the per-field key values (earliest
@@ -128,10 +132,14 @@ class MatchIndex {
   }
 
   /// Action-data words of sorted position `pos` (a shared arena slice).
-  std::span<const std::int64_t> ActionData(std::int32_t pos) const {
+  std::span<const std::int32_t> ActionData(std::int32_t pos) const {
     const Slice s = slices_[static_cast<std::size_t>(pos)];
     return {arena_.data() + s.offset, s.size};
   }
+
+  /// The fewest action words any position holds: every hit's ActionData
+  /// has at least this many (deltas keep each slice's size).
+  std::size_t MinActionWords() const { return min_words_; }
 
   const MatchIndexStats& stats() const { return stats_; }
 
@@ -139,7 +147,8 @@ class MatchIndex {
   /// the arena budget holds) and a match representable by the compiled
   /// planes — ternary masks within existing chunk coverage, range bounds
   /// landing on existing elementary-interval boundaries. Anything else
-  /// needs a full reseal.
+  /// needs a full reseal. Throws std::invalid_argument for an action word
+  /// outside the PHV value domain, which no reseal could hold either.
   bool CanAbsorb(const EntryPatch& patch) const;
 
   /// Applies pre-validated patches: repoints or rewrites each entry's
@@ -230,8 +239,9 @@ class MatchIndex {
   /// delta patch addressed by entry index finds its bitset column in O(1).
   std::vector<std::uint32_t> pos_of_;
   /// Distinct action-data slices, and each sorted position's slice.
-  std::vector<std::int64_t> arena_;
+  std::vector<std::int32_t> arena_;
   std::vector<Slice> slices_;
+  std::size_t min_words_ = ~std::size_t{0};  // see MinActionWords
   /// True for every position whose slice another position may also
   /// reference (exact after a build or compaction, conservative after a
   /// delta); ApplyDelta rewrites a slice in place only when this is false.

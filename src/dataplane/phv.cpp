@@ -3,8 +3,8 @@
 namespace pegasus::dataplane {
 
 FieldId PhvLayout::AddField(std::string name, int width_bits) {
-  if (width_bits <= 0 || width_bits > 64) {
-    throw std::invalid_argument("PhvLayout: field width out of [1,64]: " +
+  if (width_bits <= 0 || width_bits > 32) {
+    throw std::invalid_argument("PhvLayout: field width out of [1,32]: " +
                                 name);
   }
   for (const auto& existing : names_) {

@@ -18,13 +18,27 @@ namespace pegasus::dataplane {
 
 using FieldId = std::size_t;
 
+/// The value domain of every PHV field, action-data word and action
+/// immediate: [-2^30, 2^30 - 1]. Tofino's widest PHV container is 32 bits,
+/// so values are stored as int32; the domain keeps one bit of headroom, so
+/// the sum of any two values fits an int32 and an action's add-and-clamp
+/// never overflows, on any table, before or after any delta. Values enter
+/// the domain only through checked calls: Phv::Set, the table's entry,
+/// miss-program and delta calls, and lowering.
+inline constexpr std::int32_t kValueMin = -(std::int32_t{1} << 30);
+inline constexpr std::int32_t kValueMax = (std::int32_t{1} << 30) - 1;
+
+constexpr bool InValueDomain(std::int64_t v) {
+  return v >= kValueMin && v <= kValueMax;
+}
+
 /// Static layout of PHV fields for one compiled program. Fields are signed
 /// fixed-point raw values or unsigned match keys; the layout only tracks
 /// widths for budget accounting.
 class PhvLayout {
  public:
   /// Registers a field; throws std::invalid_argument on duplicate name or
-  /// non-positive width.
+  /// a width outside [1, 32] (a PHV container holds at most 32 bits).
   FieldId AddField(std::string name, int width_bits);
 
   std::size_t NumFields() const { return widths_.size(); }
@@ -43,35 +57,41 @@ class PhvLayout {
   std::size_t total_bits_ = 0;
 };
 
-/// A concrete per-packet PHV: one signed 64-bit raw value per field. Width
-/// enforcement happens on Set (values are masked/saturated to field width
-/// by callers that care; the simulator stores full precision and the
-/// fixed-point layer guarantees ranges).
+/// A concrete per-packet PHV: one int32 value per field, always inside the
+/// value domain. Set checks the domain; the layout's declared widths are
+/// for resource accounting only.
 class Phv {
  public:
   explicit Phv(const PhvLayout& layout)
       : layout_(&layout), values_(layout.NumFields(), 0) {}
 
   std::int64_t Get(FieldId id) const { return values_.at(id); }
-  void Set(FieldId id, std::int64_t v) { values_.at(id) = v; }
+  /// Throws std::out_of_range for an unknown field or a value outside
+  /// [kValueMin, kValueMax].
+  void Set(FieldId id, std::int64_t v) {
+    if (!InValueDomain(v)) {
+      throw std::out_of_range("Phv::Set: value outside the PHV value domain");
+    }
+    values_.at(id) = static_cast<std::int32_t>(v);
+  }
 
   /// Every field as one contiguous, unchecked view (index = FieldId), for
   /// a caller that bounds-checks a whole access pattern once — the
-  /// compiled action runs of MatchActionTable.
-  std::span<std::int64_t> values() { return values_; }
+  /// compiled action runs of MatchActionTable, the InferenceEngine's
+  /// parse-time image. Whatever it writes must stay inside the domain.
+  std::span<std::int32_t> values() { return values_; }
 
   /// Returns the PHV to its parse-time state (all fields zero) so a
-  /// preallocated PHV can be reused across packets — the hook the batched
-  /// runtime::InferenceEngine relies on to stay allocation-free.
+  /// preallocated PHV can be reused across packets.
   void Reset() {
-    for (std::int64_t& v : values_) v = 0;
+    for (std::int32_t& v : values_) v = 0;
   }
 
   const PhvLayout& layout() const { return *layout_; }
 
  private:
   const PhvLayout* layout_;
-  std::vector<std::int64_t> values_;
+  std::vector<std::int32_t> values_;
 };
 
 }  // namespace pegasus::dataplane

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <stdexcept>
 
 namespace pegasus::dataplane {
@@ -20,8 +19,29 @@ inline std::uint64_t* KeyBuffer(std::size_t nk, std::uint64_t* stack_buf) {
   return heap_buf.data();
 }
 
-inline std::int64_t Clamp(std::int64_t v, std::int64_t lo, std::int64_t hi) {
+inline std::int32_t Clamp(std::int32_t v, std::int32_t lo, std::int32_t hi) {
   return std::min(std::max(v, lo), hi);
+}
+
+/// One action run's loop: out[i] = clamp((kAdd ? out[i] : 0) + src[i]) into
+/// [lo[i], hi[i]]. The run's PHV fields never overlap its sources, and
+/// saying so lets the compiler vectorize it without a runtime alias check.
+template <bool kAdd>
+inline void ClampRun(std::int32_t* __restrict out,
+                     const std::int32_t* __restrict src,
+                     const std::int32_t* __restrict lo,
+                     const std::int32_t* __restrict hi, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = Clamp(kAdd ? out[i] + src[i] : src[i], lo[i], hi[i]);
+  }
+}
+
+/// An unindexed table keeps each entry's words as the int64 control-plane
+/// type; AddEntry checked their domain, so narrowing them is exact.
+std::span<const std::int32_t> Narrow(std::span<const std::int64_t> words) {
+  static thread_local std::vector<std::int32_t> narrow;
+  narrow.assign(words.begin(), words.end());
+  return narrow;
 }
 
 }  // namespace
@@ -35,7 +55,7 @@ MatchActionTable::MatchActionTable(std::string name, MatchKind kind,
       kind_(kind),
       key_fields_(std::move(key_fields)),
       key_widths_(std::move(key_widths)),
-      hit_program_(ActionRuns::Compile(action_program)),
+      hit_program_(ActionRuns::Compile(name_, action_program)),
       action_data_word_bits_(action_data_word_bits) {
   if (key_fields_.size() != key_widths_.size()) {
     throw std::invalid_argument("MatchActionTable: key width count mismatch");
@@ -43,9 +63,16 @@ MatchActionTable::MatchActionTable(std::string name, MatchKind kind,
   if (action_data_word_bits_ <= 0 || action_data_word_bits_ > 64) {
     throw std::invalid_argument("MatchActionTable: bad action word width");
   }
+  for (const FieldId f : key_fields_) {
+    key_fields_needed_ = std::max(key_fields_needed_, f + 1);
+  }
 }
 
 void MatchActionTable::AddEntry(TableEntry entry) {
+  if (!std::ranges::all_of(entry.action_data, InValueDomain)) {
+    throw std::invalid_argument(name_ +
+                                ": action word outside the PHV value domain");
+  }
   if (kind_ == MatchKind::kExact) {
     if (entry.exact_key.size() != key_fields_.size()) {
       throw std::invalid_argument(name_ + ": exact key arity mismatch");
@@ -103,6 +130,10 @@ void MatchActionTable::ValidateDelta(
     }
     if (p.action_data.size() != e.action_data.size()) {
       throw std::invalid_argument(name_ + ": patch resizes action data");
+    }
+    if (!std::ranges::all_of(p.action_data, InValueDomain)) {
+      throw std::invalid_argument(
+          name_ + ": patch action word outside the PHV value domain");
     }
     if (p.priority != e.priority) {
       throw std::invalid_argument(name_ + ": patch changes entry priority");
@@ -167,8 +198,12 @@ std::unique_ptr<MatchActionTable> MatchActionTable::Clone() const {
 
 void MatchActionTable::SetMissProgram(std::vector<ActionOp> ops,
                                       std::vector<std::int64_t> data) {
-  miss_program_ = ActionRuns::Compile(ops);
-  miss_data_ = std::move(data);
+  if (!std::ranges::all_of(data, InValueDomain)) {
+    throw std::invalid_argument(
+        name_ + ": miss data word outside the PHV value domain");
+  }
+  miss_program_ = ActionRuns::Compile(name_, ops);
+  miss_data_.assign(data.begin(), data.end());
   ++generation_;
 }
 
@@ -298,16 +333,23 @@ std::optional<std::size_t> MatchActionTable::Lookup(const Phv& phv) const {
 }
 
 MatchActionTable::ActionRuns MatchActionTable::ActionRuns::Compile(
-    const std::vector<ActionOp>& ops) {
+    const std::string& table, const std::vector<ActionOp>& ops) {
   ActionRuns program;
   for (const ActionOp& op : ops) {
+    if (!InValueDomain(op.imm)) {
+      throw std::invalid_argument(
+          table + ": action immediate outside the PHV value domain");
+    }
+    if (op.sat_max > kValueMax) {
+      throw std::invalid_argument(
+          table + ": action sat_max above the PHV value domain");
+    }
     const bool from_data = op.kind == ActionOp::Kind::kSetFromData ||
                            op.kind == ActionOp::Kind::kAddFromData;
     const bool saturating = op.sat_max >= 0;
-    const std::int64_t lo =
-        saturating ? 0 : std::numeric_limits<std::int64_t>::min();
-    const std::int64_t hi =
-        saturating ? op.sat_max : std::numeric_limits<std::int64_t>::max();
+    const std::int32_t lo = saturating ? 0 : kValueMin;
+    const std::int32_t hi =
+        saturating ? static_cast<std::int32_t>(op.sat_max) : kValueMax;
     Run* run = program.runs.empty() ? nullptr : &program.runs.back();
     if (run == nullptr || run->kind != op.kind ||
         op.target != run->target + run->len ||
@@ -319,62 +361,58 @@ MatchActionTable::ActionRuns MatchActionTable::ActionRuns::Compile(
       run = &program.runs.back();
     }
     ++run->len;
+    const auto value = static_cast<std::int32_t>(op.imm);
     program.imm.push_back(op.kind == ActionOp::Kind::kSetConst
-                              ? Clamp(op.imm, lo, hi)
-                              : op.imm);
+                              ? Clamp(value, lo, hi)
+                              : value);
     program.lo.push_back(lo);
     program.hi.push_back(hi);
-    program.max_target = std::max(program.max_target, op.target);
+    program.fields_needed = std::max(program.fields_needed, op.target + 1);
     if (from_data) {
-      program.reads_data = true;
-      program.max_data = std::max(program.max_data, op.data_index);
+      program.words_needed =
+          std::max(program.words_needed, op.data_index + 1);
     }
   }
   return program;
 }
 
-void MatchActionTable::RunProgram(Phv& phv, const ActionRuns& program,
-                                  std::span<const std::int64_t> data) const {
-  if (program.runs.empty()) return;
-  const std::span<std::int64_t> fields = phv.values();
-  if (program.max_target >= fields.size()) {
-    throw std::out_of_range(name_ + ": action target field");
-  }
-  if (program.reads_data && program.max_data >= data.size()) {
-    throw std::out_of_range(name_ + ": action data index");
-  }
+void MatchActionTable::ActionRuns::Execute(std::int32_t* fields,
+                                           const std::int32_t* data) const {
   // Targets strictly ascend within a run, so its ops are independent and
-  // each run is one straight loop.
-  for (const ActionRuns::Run& run : program.runs) {
-    std::int64_t* out = fields.data() + run.target;
-    const std::int64_t* imm = program.imm.data() + run.first_op;
-    const std::int64_t* lo = program.lo.data() + run.first_op;
-    const std::int64_t* hi = program.hi.data() + run.first_op;
+  // each run is one straight loop. Every operand lies in the value domain,
+  // so each int32 sum is exact before its clamp.
+  for (const Run& run : runs) {
+    std::int32_t* out = fields + run.target;
+    const std::int32_t* k = imm.data() + run.first_op;
+    const std::int32_t* lo_k = lo.data() + run.first_op;
+    const std::int32_t* hi_k = hi.data() + run.first_op;
     switch (run.kind) {
       case ActionOp::Kind::kSetConst:
-        std::copy_n(imm, run.len, out);
+        std::copy_n(k, run.len, out);
         break;
       case ActionOp::Kind::kAddConst:
-        for (std::size_t i = 0; i < run.len; ++i) {
-          out[i] = Clamp(out[i] + imm[i], lo[i], hi[i]);
-        }
+        ClampRun<true>(out, k, lo_k, hi_k, run.len);
         break;
-      case ActionOp::Kind::kSetFromData: {
-        const std::int64_t* src = data.data() + run.data_index;
-        for (std::size_t i = 0; i < run.len; ++i) {
-          out[i] = Clamp(src[i], lo[i], hi[i]);
-        }
+      case ActionOp::Kind::kSetFromData:
+        ClampRun<false>(out, data + run.data_index, lo_k, hi_k, run.len);
         break;
-      }
-      case ActionOp::Kind::kAddFromData: {
-        const std::int64_t* src = data.data() + run.data_index;
-        for (std::size_t i = 0; i < run.len; ++i) {
-          out[i] = Clamp(out[i] + src[i], lo[i], hi[i]);
-        }
+      case ActionOp::Kind::kAddFromData:
+        ClampRun<true>(out, data + run.data_index, lo_k, hi_k, run.len);
         break;
-      }
     }
   }
+}
+
+void MatchActionTable::RunProgram(Phv& phv, const ActionRuns& program,
+                                  std::span<const std::int32_t> data) const {
+  const std::span<std::int32_t> fields = phv.values();
+  if (program.fields_needed > fields.size()) {
+    throw std::out_of_range(name_ + ": action target field");
+  }
+  if (program.words_needed > data.size()) {
+    throw std::out_of_range(name_ + ": action data index");
+  }
+  program.Execute(fields.data(), data.data());
 }
 
 bool MatchActionTable::Apply(Phv& phv) const {
@@ -391,7 +429,7 @@ bool MatchActionTable::Apply(Phv& phv) const {
     return false;
   }
   if (auto hit = Lookup(phv)) {
-    RunProgram(phv, hit_program_, entries_[*hit].action_data);
+    RunProgram(phv, hit_program_, Narrow(entries_[*hit].action_data));
     return true;
   }
   RunProgram(phv, miss_program_, miss_data_);
@@ -416,26 +454,47 @@ std::size_t MatchActionTable::ApplyBatch(std::span<Phv> batch) const {
   static thread_local std::vector<std::uint64_t> keys;
   static thread_local std::vector<std::int32_t> best;
   keys.resize(n * nk);
+  if (index_) {
+    // Sealed path. Every bound is checked once per batch, before any
+    // write: the data the programs read here, each PHV's width as its key
+    // is gathered. The lookups and action runs below index unchecked.
+    if (hit_program_.words_needed > index_->MinActionWords() ||
+        miss_program_.words_needed > miss_data_.size()) {
+      throw std::out_of_range(name_ + ": action data index");
+    }
+    const std::size_t fields_needed =
+        std::max({key_fields_needed_, hit_program_.fields_needed,
+                  miss_program_.fields_needed});
+    for (std::size_t p = 0; p < n; ++p) {
+      const std::span<const std::int32_t> fields = batch[p].values();
+      if (fields.size() < fields_needed) {
+        throw std::out_of_range(name_ + ": action target or key field");
+      }
+      for (std::size_t i = 0; i < nk; ++i) {
+        keys[p * nk + i] = static_cast<std::uint64_t>(
+            static_cast<std::int64_t>(fields[key_fields_[i]]));
+      }
+    }
+    // One index probe per packet; the index is already entry-order-free
+    // (priority is encoded in sorted position).
+    std::size_t hits = 0;
+    for (std::size_t p = 0; p < n; ++p) {
+      std::int32_t* fields = batch[p].values().data();
+      const std::int32_t pos = index_->FindBest(keys.data() + p * nk);
+      if (pos != MatchIndex::kMiss) {
+        hit_program_.Execute(fields, index_->ActionData(pos).data());
+        ++hits;
+      } else {
+        miss_program_.Execute(fields, miss_data_.data());
+      }
+    }
+    return hits;
+  }
   for (std::size_t p = 0; p < n; ++p) {
     for (std::size_t i = 0; i < nk; ++i) {
       keys[p * nk + i] =
           static_cast<std::uint64_t>(batch[p].Get(key_fields_[i]));
     }
-  }
-  if (index_) {
-    // Sealed path: one index probe per packet; the index is already
-    // entry-order-free (priority is encoded in sorted position).
-    std::size_t hits = 0;
-    for (std::size_t p = 0; p < n; ++p) {
-      const std::int32_t pos = index_->FindBest(keys.data() + p * nk);
-      if (pos != MatchIndex::kMiss) {
-        RunProgram(batch[p], hit_program_, index_->ActionData(pos));
-        ++hits;
-      } else {
-        RunProgram(batch[p], miss_program_, miss_data_);
-      }
-    }
-    return hits;
   }
   best.assign(n, -1);
   for (std::size_t ei = 0; ei < entries_.size(); ++ei) {
@@ -473,8 +532,9 @@ std::size_t MatchActionTable::ApplyBatch(std::span<Phv> batch) const {
   std::size_t hits = 0;
   for (std::size_t p = 0; p < n; ++p) {
     if (best[p] >= 0) {
-      RunProgram(batch[p], hit_program_,
-                 entries_[static_cast<std::size_t>(best[p])].action_data);
+      RunProgram(
+          batch[p], hit_program_,
+          Narrow(entries_[static_cast<std::size_t>(best[p])].action_data));
       ++hits;
     } else {
       RunProgram(batch[p], miss_program_, miss_data_);

@@ -31,7 +31,10 @@ namespace pegasus::dataplane {
 // table would explode (e.g. RNN step tables keyed on the hidden state).
 enum class MatchKind { kExact, kTernary, kRange };
 
-/// One step of an action program.
+/// One step of an action program. Every op computes in the PHV value
+/// domain (dataplane/phv.hpp) and clamps its result into [lo, hi]:
+/// [0, sat_max] for a saturating op, the domain itself otherwise. Operands
+/// and results both lie in the domain, so an op never overflows.
 struct ActionOp {
   enum class Kind {
     kSetConst,     // target = imm
@@ -42,16 +45,21 @@ struct ActionOp {
   Kind kind = Kind::kSetConst;
   FieldId target = 0;
   std::size_t data_index = 0;
+  /// Must lie in the value domain; the table constructor (or
+  /// SetMissProgram) throws std::invalid_argument otherwise.
   std::int64_t imm = 0;
   /// When >= 0, the result is saturated into [0, sat_max] after the op —
   /// PISA ALUs perform saturating adds, and Pegasus accumulators rely on it
-  /// to stay inside their match domain.
+  /// to stay inside their match domain. At most kValueMax (checked where
+  /// imm is). When < 0 the result clamps into the value domain.
   std::int64_t sat_max = -1;
 };
 
 /// A table entry: the match (exact key or per-field ternary rules), a
 /// priority (ternary only; higher wins), and the action-data words consumed
-/// by the table's action program.
+/// by the table's action program. The words keep int64 as the control-plane
+/// type, but each must lie in the PHV value domain: AddEntry and
+/// ApplyDelta throw std::invalid_argument otherwise.
 struct TableEntry {
   std::vector<std::uint64_t> exact_key;       // kExact
   std::vector<TernaryRule> ternary;           // kTernary, one per key field
@@ -80,6 +88,8 @@ struct EntryPatch {
 /// A single match-action table.
 class MatchActionTable {
  public:
+  /// Throws std::invalid_argument on a key width count mismatch, a bad
+  /// word width, or an op whose imm or sat_max leaves the value domain.
   MatchActionTable(std::string name, MatchKind kind,
                    std::vector<FieldId> key_fields,
                    std::vector<int> key_widths,
@@ -91,6 +101,8 @@ class MatchActionTable {
 
   /// Adds an entry. Invalidates a previously sealed match index; call
   /// Seal() again before serving traffic to restore the indexed path.
+  /// Throws std::invalid_argument, changing nothing, on an arity mismatch
+  /// or an action word outside the value domain.
   void AddEntry(TableEntry entry);
   std::size_t NumEntries() const { return entries_.size(); }
 
@@ -129,10 +141,10 @@ class MatchActionTable {
   }
 
   /// Applies in-place entry patches without invalidating the seal. All
-  /// patches are validated up front (index range, arity, data size,
-  /// priority, absorbable by the compiled index); on any failure the table
-  /// is left byte-identical and std::invalid_argument is thrown — the
-  /// caller falls back to a full reseal. On success entries and index are
+  /// patches are validated up front (index range, arity, data size and
+  /// domain, priority, absorbable by the compiled index); on any failure
+  /// the table is left byte-identical and std::invalid_argument is thrown —
+  /// the caller falls back to a full reseal. On success entries and index are
   /// patched together and generation() bumps once, so the table never
   /// passes through invalidated() and lookups never see a torn state.
   /// Returns the control-plane bytes the push writes (action-data words +
@@ -149,7 +161,9 @@ class MatchActionTable {
   std::unique_ptr<MatchActionTable> Clone() const;
 
   /// Default action program executed on miss (empty = no-op); compiled
-  /// into runs here, as the hit program is at construction.
+  /// into runs here, as the hit program is at construction. Throws
+  /// std::invalid_argument, changing nothing, when an op or a data word
+  /// leaves the value domain.
   void SetMissProgram(std::vector<ActionOp> ops,
                       std::vector<std::int64_t> data);
 
@@ -159,13 +173,16 @@ class MatchActionTable {
   /// word past the matched entry's (or the miss) action data.
   bool Apply(Phv& phv) const;
 
-  /// Batch counterpart of Apply with identical per-packet semantics:
+  /// Batch counterpart of Apply with identical per-packet results:
   /// gathers every packet's key once, then looks each packet up — one
   /// MatchIndex probe when sealed, else an entry-major scan that streams
   /// each entry's rules across the whole batch. Actions run after the
-  /// lookups, exactly the lookup-then-act order of Apply: per packet, one
-  /// bounds check of the whole program, then its compiled runs as straight
-  /// loops over the PHV's contiguous fields. Returns the number of hits.
+  /// lookups, exactly the lookup-then-act order of Apply, as the compiled
+  /// runs' straight int32 loops over each PHV's contiguous fields. When
+  /// sealed, the bounds are checked once per batch, before any write:
+  /// every PHV against the highest key and target field, the index's
+  /// shortest action slice and the miss data against the programs' highest
+  /// data index (std::out_of_range, as Apply). Returns the number of hits.
   std::size_t ApplyBatch(std::span<Phv> batch) const;
 
   /// Index of the matching entry, if any (for tests/debugging).
@@ -200,8 +217,9 @@ class MatchActionTable {
   /// consecutive same-kind ops whose target field steps by one (and, for
   /// the *FromData kinds, whose data index steps by one too). A lowered
   /// Map program — one op per output word — is a single run. Every op
-  /// keeps its own saturation bounds: [0, sat_max], or the whole int64
-  /// range when sat_max < 0.
+  /// keeps its own int32 clamp bounds: [0, sat_max], or the value domain
+  /// when sat_max < 0. With every operand in the domain, a run is a plain
+  /// int32 add-and-clamp loop that the compiler vectorizes.
   struct ActionRuns {
     struct Run {
       ActionOp::Kind kind = ActionOp::Kind::kSetConst;
@@ -212,17 +230,22 @@ class MatchActionTable {
     };
     std::vector<Run> runs;
     /// Per op, in program order. kSetConst immediates are pre-clamped.
-    std::vector<std::int64_t> imm, lo, hi;
-    std::size_t max_target = 0;  // highest target field
-    bool reads_data = false;     // any *FromData op
-    std::size_t max_data = 0;    // highest data index read
+    std::vector<std::int32_t> imm, lo, hi;
+    std::size_t fields_needed = 0;  // highest target field + 1, or 0
+    std::size_t words_needed = 0;   // highest data index read + 1, or 0
 
-    static ActionRuns Compile(const std::vector<ActionOp>& ops);
+    /// Throws std::invalid_argument (naming `table`) for an imm outside
+    /// the value domain or a sat_max above kValueMax.
+    static ActionRuns Compile(const std::string& table,
+                              const std::vector<ActionOp>& ops);
+    /// Runs every op on `fields` with `data`, unchecked: the caller has
+    /// checked fields_needed and words_needed.
+    void Execute(std::int32_t* fields, const std::int32_t* data) const;
   };
   /// Checks the whole program against the PHV and `data` once (throwing
   /// std::out_of_range before any write), then executes its runs.
   void RunProgram(Phv& phv, const ActionRuns& program,
-                  std::span<const std::int64_t> data) const;
+                  std::span<const std::int32_t> data) const;
   /// Linear-scan reference for ternary/range (unsealed fallback; also the
   /// oracle the indexed path is property-tested against).
   std::optional<std::size_t> LinearLookupTernary(
@@ -235,11 +258,12 @@ class MatchActionTable {
   MatchKind kind_;
   std::vector<FieldId> key_fields_;
   std::vector<int> key_widths_;
+  std::size_t key_fields_needed_ = 0;  // highest key field + 1, or 0
   ActionRuns hit_program_;
   int action_data_word_bits_;
   std::vector<TableEntry> entries_;
   ActionRuns miss_program_;
-  std::vector<std::int64_t> miss_data_;
+  std::vector<std::int32_t> miss_data_;
   // Exact-match index: hashed key -> chained entry indices. Chaining (not
   // last-write-wins) keeps distinct keys with colliding hashes reachable;
   // Lookup verifies the full key on every candidate.

@@ -22,6 +22,19 @@ InferenceEngine::InferenceEngine(const LoweredModel& model,
     throw std::logic_error(
         "InferenceEngine: lowered pipeline has unsealed tables");
   }
+  // The parse-time image, checked once here: Set rejects a parser init on
+  // an unknown field or outside the PHV value domain. Rows then copy it and
+  // write their inputs (and read outputs) through Phv::values() unchecked.
+  dataplane::Phv image(model.layout());
+  for (const auto& [field, value] : model.parser_inits()) {
+    image.Set(field, value);
+  }
+  image_.assign(image.values().begin(), image.values().end());
+  const auto known = [&](dataplane::FieldId f) { return f < image_.size(); };
+  if (!std::ranges::all_of(model.input_fields(), known) ||
+      !std::ranges::all_of(model.output_fields(), known)) {
+    throw std::out_of_range("InferenceEngine: I/O field outside the PHV");
+  }
   pool_.reserve(batch_capacity);
   for (std::size_t i = 0; i < batch_capacity; ++i) {
     pool_.emplace_back(model.layout());
@@ -36,20 +49,17 @@ void InferenceEngine::RunChunk(const float* rows, std::size_t n) {
   assert(model_->pipeline().Generation() == pipeline_generation_ &&
          "InferenceEngine: pipeline mutated under a live engine");
   const auto& input_fields = model_->input_fields();
-  const auto& parser_inits = model_->parser_inits();
   const std::size_t in_dim = input_fields.size();
+  // Lowering caps input_bits at 30, so every clamped input lies in the
+  // PHV value domain.
   const std::int64_t dmax = (std::int64_t{1} << model_->input_bits()) - 1;
   for (std::size_t i = 0; i < n; ++i) {
-    dataplane::Phv& phv = pool_[i];
-    phv.Reset();
+    std::int32_t* fields = pool_[i].values().data();
+    std::copy(image_.begin(), image_.end(), fields);
     const float* row = rows + i * in_dim;
     for (std::size_t d = 0; d < in_dim; ++d) {
-      const std::int64_t u =
-          std::clamp<std::int64_t>(std::llround(row[d]), 0, dmax);
-      phv.Set(input_fields[d], u);
-    }
-    for (const auto& [field, value] : parser_inits) {
-      phv.Set(field, value);
+      fields[input_fields[d]] = static_cast<std::int32_t>(
+          std::clamp<std::int64_t>(std::llround(row[d]), 0, dmax));
     }
   }
   stats_.table_hits +=
@@ -78,9 +88,9 @@ void InferenceEngine::InferRaw(std::span<const float> features, std::size_t n,
     RunChunk(features.data() + done * in_dim, chunk);
     for (std::size_t i = 0; i < chunk; ++i) {
       std::int64_t* out_row = out_raw.data() + (done + i) * out_dim;
-      const dataplane::Phv& phv = pool_[i];
+      const std::int32_t* fields = pool_[i].values().data();
       for (std::size_t d = 0; d < out_dim; ++d) {
-        out_row[d] = phv.Get(output_fields[d]) - output_quant[d].bias;
+        out_row[d] = fields[output_fields[d]] - output_quant[d].bias;
       }
     }
     done += chunk;

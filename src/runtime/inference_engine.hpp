@@ -2,16 +2,18 @@
 //
 // The per-call LoweredModel::Infer path used to allocate a fresh PHV and
 // output vectors for every packet. The engine instead preallocates a pool
-// of PHVs at construction and, per batch, (1) resets + fills the parser
-// state for up to `batch_capacity` packets, (2) runs the whole batch
-// through the pipeline stage-major (dataplane::Pipeline::ProcessBatch, so
-// each table's entries stay cache-hot across packets), and (3) reads the
-// raw / dequantized outputs into caller-provided buffers. Nothing is
-// allocated after construction on the span-based paths.
+// of PHVs at construction and, per batch, (1) copies the parse-time image
+// (zeros plus parser inits, checked once at construction) into each of up
+// to `batch_capacity` PHVs and writes their clamped features, (2) runs the
+// whole batch through the pipeline stage-major
+// (dataplane::Pipeline::ProcessBatch, so each table's entries stay
+// cache-hot across packets), and (3) reads the raw / dequantized outputs
+// into caller-provided buffers. Nothing is allocated after construction on
+// the span-based paths.
 //
 // Bit-exactness: every packet sees exactly the writes LoweredModel::InferRaw
-// performed — zeroed PHV, clamped features, parser inits, stages in order —
-// so batched outputs are bit-identical to N sequential per-call inferences
+// performed — parse-time image, clamped features, stages in order — so
+// batched outputs are bit-identical to N sequential per-call inferences
 // (asserted by tests/test_inference_engine.cpp). LoweredModel::Infer and
 // InferRaw are themselves reimplemented on a capacity-1 engine.
 //
@@ -48,6 +50,9 @@ class InferenceEngine {
     }
   };
 
+  /// Throws std::logic_error for a pipeline with unsealed tables, and
+  /// std::out_of_range for a parser init outside the PHV value domain or an
+  /// input, output or init field outside the layout.
   explicit InferenceEngine(const LoweredModel& model,
                            std::size_t batch_capacity = kDefaultBatchCapacity);
 
@@ -80,6 +85,8 @@ class InferenceEngine {
   void RunChunk(const float* rows, std::size_t n);
 
   const LoweredModel* model_;
+  /// Every field's parse-time value: zero, or its parser init.
+  std::vector<std::int32_t> image_;
   std::vector<dataplane::Phv> pool_;
   /// Per-chunk raw outputs for the dequantizing Infer path.
   std::vector<std::int64_t> raw_scratch_;

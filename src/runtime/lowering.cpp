@@ -145,6 +145,13 @@ LoweredModel LowerImpl(const core::CompiledModel& model,
   const auto& quant = model.quant();
   const auto& ops = p.ops();
 
+  // Every value a lowered model serves must lie in the PHV value domain:
+  // inputs clamp into [0, 2^input_bits), parser inits are written as is,
+  // and table words are checked as entries are added.
+  if (model.options().input_bits > 30) {
+    throw std::invalid_argument(
+        "Lower: input_bits above 30 leave the PHV value domain");
+  }
   LoweredModel lowered;
   lowered.layout_ = std::make_unique<dataplane::PhvLayout>();
   lowered.input_bits_ = model.options().input_bits;
@@ -209,6 +216,10 @@ LoweredModel LowerImpl(const core::CompiledModel& model,
               "v" + std::to_string(y) + "_" + std::to_string(d),
               quant[y][d].domain_bits);
           fields[y].push_back(f);
+          if (!dataplane::InValueDomain(quant[y][d].bias)) {
+            throw std::invalid_argument(
+                "Lower: parser init outside the PHV value domain");
+          }
           lowered.parser_inits_.emplace_back(f, quant[y][d].bias);
         }
         break;

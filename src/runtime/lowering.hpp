@@ -179,7 +179,10 @@ class LoweredModel {
 
 /// Places every Map table of `model` onto the simulated switch.
 /// Throws dataplane::PlacementError if the model does not fit — the
-/// simulator's rendition of a Tofino compile failure.
+/// simulator's rendition of a Tofino compile failure — and
+/// std::invalid_argument when any value it would serve can leave the PHV
+/// value domain: input_bits above 30, a parser init or an action word
+/// outside it. So every LoweredModel can be served.
 LoweredModel Lower(const core::CompiledModel& model,
                    const LoweringOptions& options);
 

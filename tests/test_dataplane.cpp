@@ -39,6 +39,20 @@ TEST(Phv, GetSetRoundTrip) {
   EXPECT_EQ(phv.Get(f), -42);
 }
 
+TEST(Phv, ValueDomainIsCheckedOnSet) {
+  dp::PhvLayout layout;
+  const auto f = layout.AddField("x", 32);
+  EXPECT_THROW(layout.AddField("wide", 33), std::invalid_argument);
+  dp::Phv phv(layout);
+  phv.Set(f, -(std::int64_t{1} << 30));
+  EXPECT_EQ(phv.Get(f), dp::kValueMin);
+  phv.Set(f, (std::int64_t{1} << 30) - 1);
+  EXPECT_EQ(phv.Get(f), dp::kValueMax);
+  EXPECT_THROW(phv.Set(f, std::int64_t{dp::kValueMin} - 1), std::out_of_range);
+  EXPECT_THROW(phv.Set(f, std::int64_t{dp::kValueMax} + 1), std::out_of_range);
+  EXPECT_EQ(phv.Get(f), dp::kValueMax);  // a rejected Set writes nothing
+}
+
 // --------------------------------------------------------------- tables
 
 namespace {
@@ -147,13 +161,117 @@ TEST(Table, ArityValidation) {
   EXPECT_THROW(t->AddEntry({.exact_key = {1, 2}}), std::invalid_argument);
 }
 
+// ----------------------------------------------------------- value domain
+
+namespace {
+
+constexpr std::int64_t kBelow = std::int64_t{dp::kValueMin} - 1;
+constexpr std::int64_t kAbove = std::int64_t{dp::kValueMax} + 1;
+
+}  // namespace
+
+TEST(ValueDomain, ProgramsOutsideTheDomainThrowAtConstruction) {
+  dp::PhvLayout layout;
+  const auto key = layout.AddField("k", 8);
+  const auto out = layout.AddField("o", 16);
+  const auto build = [&](std::int64_t imm, std::int64_t sat_max) {
+    return dp::MatchActionTable(
+        "t", dp::MatchKind::kTernary, {key}, {8},
+        {{dp::ActionOp::Kind::kAddConst, out, 0, imm, sat_max}}, 16);
+  };
+  EXPECT_NO_THROW(build(dp::kValueMin, -1));
+  EXPECT_NO_THROW(build(dp::kValueMax, dp::kValueMax));
+  EXPECT_THROW(build(kBelow, -1), std::invalid_argument);
+  EXPECT_THROW(build(kAbove, -1), std::invalid_argument);
+  EXPECT_THROW(build(0, kAbove), std::invalid_argument);
+}
+
+TEST(ValueDomain, WordsOutsideTheDomainAreRejectedWithoutAChange) {
+  dp::PhvLayout layout;
+  const auto key = layout.AddField("k", 8);
+  const auto out = layout.AddField("o", 32);
+  dp::MatchActionTable t("t", dp::MatchKind::kTernary, {key}, {8},
+                         {{dp::ActionOp::Kind::kSetFromData, out, 0, 0, -1}},
+                         32);
+  for (std::uint64_t e = 0; e < 10; ++e) {
+    t.AddEntry({.ternary = {dp::TernaryRule{e, 0xff}},
+                .priority = 1,
+                .action_data = {static_cast<std::int64_t>(e) + dp::kValueMax -
+                                9}});
+  }
+  const std::uint64_t gen = t.generation();
+  for (const std::int64_t bad : {kBelow, kAbove}) {
+    EXPECT_THROW(t.AddEntry({.ternary = {dp::TernaryRule{0, 0}},
+                             .action_data = {bad}}),
+                 std::invalid_argument);
+    EXPECT_THROW(t.SetMissProgram({}, {0, bad}), std::invalid_argument);
+  }
+  EXPECT_EQ(t.NumEntries(), 10u);
+  EXPECT_EQ(t.generation(), gen);
+
+  // A table too small to index keeps the entry words it serves from.
+  dp::MatchActionTable small("small", dp::MatchKind::kTernary, {key}, {8},
+                             {{dp::ActionOp::Kind::kSetFromData, out, 0, 0,
+                               -1}},
+                             32);
+  small.AddEntry({.ternary = {dp::TernaryRule{0, 0}}, .action_data = {7}});
+  small.Seal();
+  ASSERT_EQ(small.index_stats(), nullptr);
+  const std::uint64_t small_gen = small.generation();
+  for (const std::int64_t bad : {kBelow, kAbove}) {
+    const dp::EntryPatch patch{.entry_index = 0,
+                               .ternary = {dp::TernaryRule{0, 0}},
+                               .action_data = {bad}};
+    EXPECT_THROW(small.ApplyDelta(std::span(&patch, 1)),
+                 std::invalid_argument);
+    EXPECT_EQ(small.generation(), small_gen);
+    dp::Phv phv(layout);
+    ASSERT_TRUE(small.Apply(phv));
+    EXPECT_EQ(phv.Get(out), 7);
+  }
+
+  // The index checks the words it is compiled from, too.
+  std::vector<dp::TableEntry> raw(8, {.ternary = {dp::TernaryRule{0, 0}},
+                                      .action_data = {1}});
+  raw[5].action_data = {kAbove};
+  EXPECT_THROW(dp::MatchIndex(raw, /*kind_is_ternary=*/true),
+               std::invalid_argument);
+
+  t.Seal();
+  ASSERT_NE(t.index_stats(), nullptr);
+  const std::size_t bytes = t.index_stats()->bytes;
+  const std::uint64_t sealed_gen = t.generation();
+  for (const std::int64_t bad : {kBelow, kAbove}) {
+    // The first patch is valid; the second is not, so neither applies.
+    const std::vector<dp::EntryPatch> delta{
+        {.entry_index = 3,
+         .ternary = {dp::TernaryRule{3, 0xff}},
+         .priority = 1,
+         .action_data = {dp::kValueMin}},
+        {.entry_index = 4,
+         .ternary = {dp::TernaryRule{4, 0xff}},
+         .priority = 1,
+         .action_data = {bad}}};
+    EXPECT_THROW(t.ApplyDelta(delta), std::invalid_argument);
+    EXPECT_EQ(t.index_stats()->bytes, bytes);
+    EXPECT_EQ(t.generation(), sealed_gen);
+    for (std::int64_t e = 0; e < 10; ++e) {
+      dp::Phv phv(layout);
+      phv.Set(key, e);
+      ASSERT_TRUE(t.Apply(phv));
+      EXPECT_EQ(phv.Get(out), e + dp::kValueMax - 9) << "entry " << e;
+    }
+  }
+}
+
 // ------------------------------------------------------ action programs
 
 namespace {
 
 /// The op-at-a-time semantics compiled action runs must reproduce: each op
-/// reads, computes, saturates into [0, sat_max] when sat_max >= 0, and
-/// writes before the next op starts.
+/// reads, computes in int64, clamps into [0, sat_max] when sat_max >= 0 and
+/// into the PHV value domain otherwise, and writes before the next op
+/// starts.
 void ReferenceRun(std::vector<std::int64_t>& fields,
                   const std::vector<dp::ActionOp>& ops,
                   std::span<const std::int64_t> data) {
@@ -173,11 +291,22 @@ void ReferenceRun(std::vector<std::int64_t>& fields,
         result = fields.at(op.target) + data[op.data_index];
         break;
     }
-    if (op.sat_max >= 0) {
-      result = std::clamp<std::int64_t>(result, 0, op.sat_max);
-    }
-    fields.at(op.target) = result;
+    fields.at(op.target) =
+        op.sat_max >= 0 ? std::clamp<std::int64_t>(result, 0, op.sat_max)
+                        : std::clamp<std::int64_t>(result, dp::kValueMin,
+                                                   dp::kValueMax);
   }
+}
+
+/// A small value in [-span, span], or one at or next to an edge of the
+/// value domain one time in four.
+std::int64_t DrawValue(std::mt19937_64& rng, std::int64_t span) {
+  constexpr std::int64_t kEdges[] = {dp::kValueMin, dp::kValueMin + 1,
+                                     dp::kValueMax - 1, dp::kValueMax};
+  if (rng() % 4 == 0) return kEdges[rng() % 4];
+  return static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(
+                                               2 * span + 1)) -
+         span;
 }
 
 /// A random program over `num_fields` targets and `data_words` data words:
@@ -190,7 +319,7 @@ std::vector<dp::ActionOp> RandomProgram(std::mt19937_64& rng,
   constexpr dp::ActionOp::Kind kKinds[] = {
       dp::ActionOp::Kind::kSetConst, dp::ActionOp::Kind::kAddConst,
       dp::ActionOp::Kind::kSetFromData, dp::ActionOp::Kind::kAddFromData};
-  constexpr std::int64_t kSat[] = {-1, -1, 0, 7, 60};
+  constexpr std::int64_t kSat[] = {-1, -1, 0, 7, 60, dp::kValueMax};
   std::vector<dp::ActionOp> ops;
   const std::size_t stretches = 1 + rng() % 5;
   for (std::size_t s = 0; s < stretches; ++s) {
@@ -210,8 +339,8 @@ std::vector<dp::ActionOp> RandomProgram(std::mt19937_64& rng,
       op.kind = kind;
       op.target = (target + i + (rng() % 6 == 0 ? 1 : 0)) % num_fields;
       op.data_index = (data + i + (rng() % 6 == 0 ? 1 : 0)) % data_words;
-      op.imm = static_cast<std::int64_t>(rng() % 61) - 30;
-      op.sat_max = kSat[rng() % 5];
+      op.imm = DrawValue(rng, 30);
+      op.sat_max = kSat[rng() % 6];
       ops.push_back(op);
     }
   }
@@ -223,7 +352,9 @@ std::vector<dp::ActionOp> RandomProgram(std::mt19937_64& rng,
 TEST(Table, CompiledProgramsMatchReferenceInterpreter) {
   // Random programs through Apply and ApplyBatch, on an indexed (sealed)
   // table and a never-sealed linear one, hit and miss, against the
-  // op-at-a-time reference on the same starting fields.
+  // op-at-a-time reference on the same starting fields. Start values,
+  // words and immediates include the edges of the value domain, where an
+  // unsaturated int32 sum would overflow.
   std::mt19937_64 rng(4242);
   constexpr std::size_t kValueFields = 12;
   constexpr std::size_t kWords = 6;
@@ -236,17 +367,14 @@ TEST(Table, CompiledProgramsMatchReferenceInterpreter) {
     const auto hit_ops = RandomProgram(rng, layout.NumFields(), kWords);
     const auto miss_ops = RandomProgram(rng, layout.NumFields(), kWords);
     std::vector<std::int64_t> miss_data(kWords);
-    for (std::int64_t& w : miss_data) {
-      w = static_cast<std::int64_t>(rng() % 101) - 50;
-    }
+    for (std::int64_t& w : miss_data) w = DrawValue(rng, 50);
     std::vector<dp::TableEntry> entries;
     for (std::uint64_t e = 0; e < 12; ++e) {
       dp::TableEntry entry;
       entry.ternary = {dp::TernaryRule{3 * e, 0xff}};
       entry.priority = 1;
       for (std::size_t w = 0; w < kWords; ++w) {
-        entry.action_data.push_back(static_cast<std::int64_t>(rng() % 101) -
-                                    50);
+        entry.action_data.push_back(DrawValue(rng, 50));
       }
       entries.push_back(std::move(entry));
     }
@@ -267,7 +395,7 @@ TEST(Table, CompiledProgramsMatchReferenceInterpreter) {
     for (std::size_t p = 0; p < kBatch; ++p) {
       start[p].Set(key, static_cast<std::int64_t>(rng() % 48));
       for (std::size_t f = 1; f < layout.NumFields(); ++f) {
-        start[p].Set(f, static_cast<std::int64_t>(rng() % 81) - 40);
+        start[p].Set(f, DrawValue(rng, 40));
       }
       want[p].assign(start[p].values().begin(), start[p].values().end());
       const auto hit = linear.Lookup(start[p]);
@@ -293,6 +421,39 @@ TEST(Table, CompiledProgramsMatchReferenceInterpreter) {
         }
       }
     }
+  }
+
+  // A non-saturating add past an edge of the domain saturates at it.
+  const dp::FieldId v0 = layout.Find("v0");
+  const dp::FieldId v1 = layout.Find("v1");
+  const dp::FieldId v2 = layout.Find("v2");
+  dp::MatchActionTable edge(
+      "edge", dp::MatchKind::kTernary, {key}, {8},
+      {{dp::ActionOp::Kind::kAddFromData, v0, 0, 0, -1},
+       {dp::ActionOp::Kind::kAddFromData, v1, 1, 0, -1},
+       {dp::ActionOp::Kind::kAddConst, v2, 0, dp::kValueMax, -1}},
+      16);
+  for (std::uint64_t e = 0; e < 10; ++e) {
+    edge.AddEntry({.ternary = {dp::TernaryRule{e, 0xff}},
+                   .priority = 1,
+                   .action_data = {dp::kValueMax, dp::kValueMin}});
+  }
+  edge.Seal();
+  std::vector<dp::Phv> batch(3, dp::Phv(layout));
+  for (dp::Phv& phv : batch) {
+    phv.Set(key, 1);
+    phv.Set(v0, 5);
+    phv.Set(v1, -5);
+    phv.Set(v2, 1);
+  }
+  dp::Phv one = batch[0];
+  edge.Apply(one);
+  edge.ApplyBatch(std::span<dp::Phv>(batch));
+  batch.push_back(one);
+  for (const dp::Phv& phv : batch) {
+    EXPECT_EQ(phv.Get(v0), dp::kValueMax);
+    EXPECT_EQ(phv.Get(v1), dp::kValueMin);
+    EXPECT_EQ(phv.Get(v2), dp::kValueMax);
   }
 }
 

@@ -4,8 +4,13 @@
 // the end-to-end guarantees a deployment would rely on.
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "compiler/compiler.hpp"
 #include "eval/experiment.hpp"
 #include "models/autoencoder.hpp"
+#include "models/cnn_b.hpp"
+#include "models/cnn_l.hpp"
 #include "models/cnn_m.hpp"
 #include "models/rnn_b.hpp"
 #include "runtime/lowering.hpp"
@@ -24,14 +29,25 @@ const ev::PreparedDataset& Data() {
   return prep;
 }
 
+/// InferRaw == EvaluateRaw on the first `count` rows of `x`, each
+/// lowered.InputDim() wide.
+void ExpectBitExact(const pegasus::core::CompiledModel& cm,
+                    const rt::LoweredModel& lowered, std::span<const float> x,
+                    std::size_t count) {
+  const std::size_t dim = lowered.InputDim();
+  ASSERT_GT(dim, 0u);
+  ASSERT_GT(x.size() / dim, 0u);
+  for (std::size_t i = 0; i < std::min(x.size() / dim, count); ++i) {
+    const std::span<const float> row = x.subspan(i * dim, dim);
+    ASSERT_EQ(cm.EvaluateRaw(row), lowered.InferRaw(row)) << "sample " << i;
+  }
+}
+
 void ExpectBitExact(const pegasus::core::CompiledModel& cm,
                     const rt::LoweredModel& lowered,
                     const tr::SampleSet& samples, std::size_t count) {
-  for (std::size_t i = 0; i < std::min(samples.size(), count); ++i) {
-    std::span<const float> row(samples.x.data() + i * samples.dim,
-                               samples.dim);
-    ASSERT_EQ(cm.EvaluateRaw(row), lowered.InferRaw(row)) << "sample " << i;
-  }
+  ASSERT_EQ(samples.dim, lowered.InputDim());
+  ExpectBitExact(cm, lowered, samples.x, count);
 }
 
 }  // namespace
@@ -63,6 +79,47 @@ TEST(Integration, CnnMLowersBitExactInOneStage) {
   ExpectBitExact(m->Compiled(), lowered, prep.seq.test, 80);
   // Advanced fusion: independent per-segment Maps, all level-0.
   EXPECT_EQ(lowered.StagesUsed(), 1u);
+}
+
+TEST(Integration, CnnBLowersBitExact) {
+  const auto& prep = Data();
+  md::CnnBConfig cfg;
+  cfg.epochs = 4;
+  auto m = md::CnnB::Train(prep.seq.train.x, prep.seq.train.labels,
+                           prep.seq.train.size(), prep.seq.train.dim,
+                           prep.num_classes, cfg);
+  // Lowered as bench_table6 lowers the Table 6 models.
+  rt::LoweringOptions opts;
+  opts.stateful_bits_per_flow = m->FlowState().BitsPerFlow();
+  const auto lowered = pegasus::compiler::PlaceOnSwitch(m->Compiled(), opts);
+  ExpectBitExact(m->Compiled(), lowered, prep.seq.test, 80);
+}
+
+TEST(Integration, CnnLExtractorAndClassifierLowerBitExact) {
+  static const ev::PreparedDataset prep =
+      ev::Prepare(tr::CiciotSpec(12, 23), /*with_raw_bytes=*/true);
+  md::CnnLConfig cfg;
+  cfg.epochs = 1;
+  auto m = md::CnnL::Train(prep.raw.train.x, prep.seq.train.x,
+                           prep.raw.train.labels, prep.raw.train.size(),
+                           prep.num_classes, cfg);
+  // Lowered as bench_table6 lowers CNN-L: the extractor carries the flow
+  // state, the window classifier is placed on its own.
+  rt::LoweringOptions opts;
+  opts.stateful_bits_per_flow = m->FlowState().BitsPerFlow();
+  const auto ext =
+      pegasus::compiler::PlaceOnSwitch(m->CompiledExtractor(), opts);
+  const auto cls = pegasus::compiler::PlaceOnSwitch(m->CompiledClassifier());
+  // The extractor reads one packet's bytes: every packet of a raw window
+  // is a row.
+  ExpectBitExact(m->CompiledExtractor(), ext, prep.raw.test.x, 400);
+  // The classifier reads the window's stored (feature, IPD) tuples: draw
+  // them across and past the input domain.
+  std::mt19937 rng(5);
+  std::uniform_int_distribution<int> value(-8, 263);
+  std::vector<float> rows(200 * cls.InputDim());
+  for (float& v : rows) v = static_cast<float>(value(rng));
+  ExpectBitExact(m->CompiledClassifier(), cls, rows, 200);
 }
 
 TEST(Integration, AutoencoderLowersBitExact) {

@@ -103,6 +103,17 @@ TEST(Lowering, PhvOverflowDetected) {
   EXPECT_THROW(rt::Lower(cm, opts), dp::PlacementError);
 }
 
+TEST(Lowering, RejectsInputsWiderThanThePhvValueDomain) {
+  // 31-bit inputs would reach 2^31 - 1, outside the PHV's [-2^30, 2^30).
+  core::CompileOptions opts;
+  opts.input_bits = 31;
+  auto x = RandomFeatures(500, 2, 3);
+  core::ProgramBuilder b(2);
+  const auto out = b.Map(b.input(), core::MakeReLU(2), 8);
+  const auto cm = core::CompileProgram(b.Finish(out), x, 500, opts);
+  EXPECT_THROW(rt::Lower(cm, {}), std::invalid_argument);
+}
+
 TEST(Lowering, InferRejectsWrongDim) {
   auto cm = SmallCompiledModel(500, 8);
   rt::LoweredModel lowered = rt::Lower(cm, {});

@@ -7,6 +7,7 @@
 // hash-collision coverage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -32,12 +33,16 @@ struct TablePair {
 };
 
 /// Both tables copy every action word of the winning entry into its own
-/// output field (entries[0] sets the word count).
+/// output field (entries[0] sets the word count). A key wider than a PHV
+/// container (32 bits) still matches as declared: its PHV field holds the
+/// key as a signed value, and a key near 2^64 is a small negative value
+/// that sign-extends back.
 TablePair MakePair(dp::MatchKind kind, const std::vector<int>& widths,
                    const std::vector<dp::TableEntry>& entries) {
   TablePair p;
   for (std::size_t i = 0; i < widths.size(); ++i) {
-    p.keys.push_back(p.layout.AddField("k" + std::to_string(i), widths[i]));
+    p.keys.push_back(p.layout.AddField("k" + std::to_string(i),
+                                       std::min(widths[i], 32)));
   }
   std::vector<dp::ActionOp> prog;
   for (std::size_t w = 0; w < entries.at(0).action_data.size(); ++w) {
@@ -220,6 +225,9 @@ TEST(MatchIndex, RandomRangeTablesMatchLinearReference) {
 }
 
 TEST(MatchIndex, WideSixtyFourBitTernaryField) {
+  // The index matches full 64-bit keys, which no PHV field holds: drive
+  // FindBest directly against a linear reference (highest priority wins,
+  // the earliest entry on ties).
   std::mt19937_64 rng(55);
   std::vector<dp::TableEntry> entries;
   for (std::size_t e = 0; e < 64; ++e) {
@@ -231,13 +239,30 @@ TEST(MatchIndex, WideSixtyFourBitTernaryField) {
   }
   entries.push_back(
       {.ternary = {dp::TernaryRule{0, 0}}, .priority = -1, .action_data = {99}});
-  const TablePair p = MakePair(dp::MatchKind::kTernary, {64}, entries);
-  for (int probe = 0; probe < 500; ++probe) {
-    ExpectSameLookup(p, {rng()});
-  }
-  for (const auto& e : entries) {
-    ExpectSameLookup(p, {e.ternary[0].value});
-  }
+  const dp::MatchIndex index(entries, /*kind_is_ternary=*/true);
+  const auto expect_reference = [&](std::uint64_t key) {
+    std::optional<std::size_t> want;
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+      if (entries[e].ternary[0].Matches(key) &&
+          (!want || entries[e].priority > entries[*want].priority)) {
+        want = e;
+      }
+    }
+    const std::int32_t pos = index.FindBest(&key);
+    ASSERT_EQ(pos == dp::MatchIndex::kMiss
+                  ? std::nullopt
+                  : std::optional<std::size_t>{index.EntryIndex(pos)},
+              want)
+        << "key " << key;
+    if (want) {
+      const auto words = index.ActionData(pos);
+      ASSERT_TRUE(std::equal(words.begin(), words.end(),
+                             entries[*want].action_data.begin(),
+                             entries[*want].action_data.end()));
+    }
+  };
+  for (int probe = 0; probe < 500; ++probe) expect_reference(rng());
+  for (const auto& e : entries) expect_reference(e.ternary[0].value);
 }
 
 TEST(MatchIndex, RangeTopOfDomain64Bit) {
@@ -450,7 +475,8 @@ TEST(MatchIndex, TinyTablesSealWithoutIndex) {
 TEST(MatchIndex, ExactHashCollisionsResolveViaChaining) {
   // Truncate the hash to 6 bits so distinct keys collide constantly; every
   // key must still find its own entry (the old last-write-wins index
-  // silently shadowed earlier entries).
+  // silently shadowed earlier entries). Keys are 30-bit, inside the PHV
+  // value domain.
   dp::PhvLayout layout;
   const auto k0 = layout.AddField("k0", 32);
   const auto k1 = layout.AddField("k1", 32);
@@ -463,7 +489,7 @@ TEST(MatchIndex, ExactHashCollisionsResolveViaChaining) {
   std::mt19937_64 rng(777);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> keys;
   for (std::size_t e = 0; e < 300; ++e) {
-    const std::uint64_t a = rng() & 0xffffffff, b = rng() & 0xffffffff;
+    const std::uint64_t a = rng() & 0x3fffffff, b = rng() & 0x3fffffff;
     keys.emplace_back(a, b);
     t.AddEntry({.exact_key = {a, b},
                 .action_data = {static_cast<std::int64_t>(e)}});
