@@ -248,7 +248,8 @@ BENCHMARK(BM_MapTableLookupLinear)->Arg(16)->Arg(64)->Arg(256);
 
 void RunApplyBatchLoop(benchmark::State& state, bool sealed) {
   // 1024-entry table, 64-packet batches: the ApplyBatch shape the
-  // InferenceEngine drives.
+  // InferenceEngine drives. Unsealed, ApplyBatch is a loop of linear-scan
+  // Apply calls.
   const std::size_t entries = 1024, batch = 64;
   dataplane::PhvLayout layout;
   const auto table = BuildTernaryBenchTable(layout, entries, sealed);
@@ -305,6 +306,21 @@ void BM_MapTableApplyBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_MapTableApplyBatch)->Arg(16)->Arg(64);
 
+void BM_MapTableClone(benchmark::State& state) {
+  // The clone step of every SwapModelDelta, per table: a sealed lowered-Map
+  // table of 64 leaves (1,230 entries) with 14 words each. 32 of them come
+  // to 39,360 entries, close to MLP-B's 37,960.
+  dataplane::PhvLayout layout;
+  const auto table = BuildMapBenchTable(layout, 64, /*sealed=*/true, 14);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.Clone());
+  }
+  state.counters["entries"] = static_cast<double>(table.NumEntries());
+  state.counters["index_bytes"] =
+      static_cast<double>(table.index_stats()->bytes);
+}
+BENCHMARK(BM_MapTableClone);
+
 void BM_MatchIndexBuild(benchmark::State& state) {
   // Seal-time cost of compiling the bit-vector index (the one-off price a
   // table pays at placement for the indexed hot path), plus its footprint.
@@ -330,7 +346,8 @@ void BM_MatchIndexBuild(benchmark::State& state) {
 BENCHMARK(BM_MatchIndexBuild)->Arg(128)->Arg(1024)->Arg(4096);
 
 void BM_PipelineProcess(benchmark::State& state) {
-  // A 4-stage pipeline of small exact tables, roughly an MLP-B pass.
+  // A 4-stage pipeline of small full-mask ternary tables, roughly an MLP-B
+  // pass.
   dataplane::Pipeline pipe;
   dataplane::PhvLayout layout;
   const auto key = layout.AddField("k", 8);
@@ -342,10 +359,11 @@ void BM_PipelineProcess(benchmark::State& state) {
     std::vector<dataplane::ActionOp> prog{
         {dataplane::ActionOp::Kind::kAddFromData, outs[s], 0, 0, 65535}};
     auto table = std::make_unique<dataplane::MatchActionTable>(
-        "t" + std::to_string(s), dataplane::MatchKind::kExact,
+        "t" + std::to_string(s), dataplane::MatchKind::kTernary,
         std::vector<dataplane::FieldId>{key}, std::vector<int>{8}, prog, 16);
     for (std::uint64_t v = 0; v < 256; ++v) {
-      table->AddEntry({.exact_key = {v}, .action_data = {static_cast<std::int64_t>(v)}});
+      table->AddEntry({.ternary = {dataplane::TernaryRule{v, 0xff}},
+                       .action_data = {static_cast<std::int64_t>(v)}});
     }
     pipe.PlaceTable(std::move(table), s);
   }

@@ -165,7 +165,8 @@ SwapRow RunSwap(const std::string& name,
 
 // ---- O(delta) update latency sweep ----------------------------------------
 // Compares the two ways a new model version reaches a serving table:
-//   delta  — ApplyDelta the changed entries in place on the sealed table
+//   delta  — ApplyDelta the changed entries' new action words in place on
+//            the sealed table
 //            (the per-table patch work StreamServer::SwapModelDelta does;
 //            on a switch the update is literally in place);
 //   reseal — rebuild the table from the full entry list and Seal() (the
@@ -173,8 +174,9 @@ SwapRow RunSwap(const std::string& name,
 // Each rep patches a fresh Clone() of the base so reps are independent,
 // but the clone is harness scaffolding, not update work, and stays
 // outside the timed window. Swept over table size x patched-entry count;
-// both paths must decide probe keys identically (checksums compared by
-// compare_index_bench.py --swap, which fails CI on a mismatch).
+// both paths must decide probe keys identically, winner and written word
+// (checksums compared by compare_index_bench.py --swap, which fails CI on
+// a mismatch).
 
 struct UpdateRow {
   std::size_t table_entries = 0;
@@ -192,7 +194,7 @@ namespace dp = pegasus::dataplane;
 std::uint64_t LookupChecksum(const dp::MatchActionTable& table,
                              const dp::PhvLayout& layout,
                              const std::vector<dp::FieldId>& keys,
-                             std::uint64_t seed) {
+                             dp::FieldId out, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   dp::Phv phv(layout);
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a
@@ -202,6 +204,11 @@ std::uint64_t LookupChecksum(const dp::MatchActionTable& table,
     }
     const auto hit = table.Lookup(phv);
     h ^= hit ? static_cast<std::uint64_t>(*hit) + 1 : 0;
+    h *= 1099511628211ull;
+    // The word the hit writes: a delta changes words, never winners.
+    phv.Set(out, -1);
+    table.Apply(phv);
+    h ^= static_cast<std::uint64_t>(phv.Get(out));
     h *= 1099511628211ull;
   }
   return h;
@@ -228,9 +235,7 @@ std::vector<UpdateRow> RunUpdateSweep() {
       dp::TableEntry entry;
       for (int w : widths) {
         const std::uint64_t dmax = (1ull << w) - 1;
-        // Mix exact-value rules with wildcarded ones; at least one full
-        // mask per field keeps the whole key space chunk-covered, so any
-        // patch is absorbable in place.
+        // Mix exact-value rules with wildcarded ones.
         entry.ternary.push_back(rng() % 4 == 0
                                     ? dp::TernaryRule{rng() & dmax,
                                                       rng() & dmax}
@@ -249,7 +254,8 @@ std::vector<UpdateRow> RunUpdateSweep() {
                                     std::max<std::size_t>(1, n / 10), n};
     deltas.erase(std::unique(deltas.begin(), deltas.end()), deltas.end());
     for (const std::size_t k : deltas) {
-      // k distinct entries get new match values + action words.
+      // k distinct entries get new action words; each patch repeats its
+      // entry's rules and priority, as the planner's patches do.
       std::vector<dp::EntryPatch> patches;
       auto mutated = entries;
       for (std::size_t j = 0; j < k; ++j) {
@@ -257,12 +263,8 @@ std::vector<UpdateRow> RunUpdateSweep() {
         dp::EntryPatch patch;
         patch.entry_index = e;
         patch.priority = entries[e].priority;
-        for (int w : widths) {
-          const std::uint64_t dmax = (1ull << w) - 1;
-          patch.ternary.push_back({rng() & dmax, dmax});
-        }
+        patch.ternary = entries[e].ternary;
         patch.action_data = {static_cast<std::int64_t>(rng() % 100000)};
-        mutated[e].ternary = patch.ternary;
         mutated[e].action_data = patch.action_data;
         patches.push_back(std::move(patch));
       }
@@ -295,8 +297,10 @@ std::vector<UpdateRow> RunUpdateSweep() {
         resealed = std::move(fresh);
       }
       row.speedup = row.delta_ms > 0.0 ? row.reseal_ms / row.delta_ms : 0.0;
-      row.checksum_delta = LookupChecksum(*patched, layout, keys, 1000 + n);
-      row.checksum_reseal = LookupChecksum(*resealed, layout, keys, 1000 + n);
+      row.checksum_delta =
+          LookupChecksum(*patched, layout, keys, outf, 1000 + n);
+      row.checksum_reseal =
+          LookupChecksum(*resealed, layout, keys, outf, 1000 + n);
       out.push_back(row);
     }
   }

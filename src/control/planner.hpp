@@ -54,15 +54,16 @@ struct TableUpdate {
   std::size_t changed_leaves = 0;
   /// Bytes the switch agent must write for this table: for a delta, the
   /// changed entries' action-data words PLUS their value/mask match words
-  /// (the chunk-bitset / range-boundary state the dataplane rewrites) —
-  /// identical to what MatchActionTable::ApplyDelta reports pushing; for a
-  /// reseal, the whole table.
+  /// (a MODIFY names its entry by key) — identical to what
+  /// MatchActionTable::ApplyDelta reports pushing; for a reseal, the whole
+  /// table.
   std::size_t bytes_to_push = 0;
   /// Concrete entry patches realizing a kEntryDelta, post-CRC-expansion
   /// and addressed by lowered entry index — exactly what
   /// StreamServer::SwapModelDelta / Pipeline::ApplyDelta consume. Built
   /// with the same shared expansion helper as Lower(), so entry indices
-  /// line up with the served table by construction.
+  /// line up with the served table and every patch repeats its entry's
+  /// match and priority by construction.
   std::vector<dataplane::EntryPatch> patches;
 };
 

@@ -121,6 +121,10 @@ MatchIndex::MatchIndex(std::span<const TableEntry> entries,
   pos_of_.resize(num_entries_);
   for (std::size_t pos = 0; pos < num_entries_; ++pos) {
     pos_of_[order_[pos]] = static_cast<std::uint32_t>(pos);
+    const int priority = entries[order_[pos]].priority;
+    if (priorities_.empty() || priorities_.back().priority != priority) {
+      priorities_.push_back({static_cast<std::uint32_t>(pos), priority});
+    }
   }
 
   for (const TableEntry& e : entries) {
@@ -145,7 +149,7 @@ MatchIndex::MatchIndex(std::span<const TableEntry> entries,
   } else {
     BuildRange(entries);
   }
-  // Aggregates from the finished planes; ApplyDelta keeps them exact.
+  // Aggregates from the finished planes.
   const std::size_t num_rows = words_ == 0 ? 0 : plane_.size() / words_;
   agg_.assign(num_rows * agg_words_, 0);
   for (std::size_t row = 0; row < num_rows; ++row) {
@@ -378,19 +382,15 @@ void MatchIndex::BuildClassTables() {
     }
   }
   if (!fits) {
-    DropClassTables();
+    // Over budget: the bit vectors serve. Move-assigning frees the
+    // storage; assigning {} would keep it.
+    cells_ = std::vector<std::uint16_t>();
+    dims_ = std::vector<ClassDim>();
+    products_ = std::vector<CrossProduct>();
     return;
   }
   cells_.shrink_to_fit();
   stats_.class_cells = cells_.size();
-}
-
-void MatchIndex::DropClassTables() {
-  // Move-assigning frees the storage; assigning {} would keep it.
-  cells_ = std::vector<std::uint16_t>();
-  dims_ = std::vector<ClassDim>();
-  products_ = std::vector<CrossProduct>();
-  stats_.class_cells = 0;
 }
 
 void MatchIndex::RefreshFootprint() {
@@ -399,6 +399,7 @@ void MatchIndex::RefreshFootprint() {
                  dims_.size() * sizeof(ClassDim) +
                  products_.size() * sizeof(CrossProduct) +
                  (order_.size() + pos_of_.size()) * sizeof(std::uint32_t) +
+                 priorities_.size() * sizeof(PriorityRun) +
                  arena_.size() * sizeof(std::int32_t) +
                  slices_.size() * sizeof(Slice) + (shared_.size() + 7) / 8;
   for (const RangeField& rf : ranges_) {
@@ -410,18 +411,6 @@ std::uint32_t MatchIndex::AddRows(std::size_t count) {
   const std::size_t first = plane_.size() / words_;
   plane_.resize(plane_.size() + count * words_, 0);
   return static_cast<std::uint32_t>(first);
-}
-
-bool MatchIndex::SetBit(std::size_t row, std::size_t pos, bool on) {
-  const std::size_t word = pos / 64;
-  std::uint64_t& w = plane_[row * words_ + word];
-  const std::uint64_t bit = 1ull << (pos % 64);
-  const std::uint64_t was = w;
-  w = on ? (w | bit) : (w & ~bit);
-  std::uint64_t& a = agg_[row * agg_words_ + word / 64];
-  const std::uint64_t agg_bit = 1ull << (word % 64);
-  a = w != 0 ? (a | agg_bit) : (a & ~agg_bit);
-  return w != was;
 }
 
 void MatchIndex::BuildTernary(std::span<const TableEntry> entries) {
@@ -488,22 +477,23 @@ void MatchIndex::BuildRange(std::span<const TableEntry> entries) {
   }
 }
 
-bool MatchIndex::CanAbsorb(const EntryPatch& patch) const {
-  if (!std::ranges::all_of(patch.action_data, InValueDomain)) {
-    throw std::invalid_argument(
-        "MatchIndex: patch action word outside the PHV value domain");
-  }
-  if (patch.entry_index >= num_entries_) return false;
+int MatchIndex::Priority(std::size_t entry) const {
+  const std::uint32_t pos = pos_of_[entry];
+  // The last run starting at or before pos; priorities_[0].first is 0.
+  const auto run = std::upper_bound(
+      priorities_.begin(), priorities_.end(), pos,
+      [](std::uint32_t p, const PriorityRun& r) { return p < r.first; });
+  return std::prev(run)->priority;
+}
+
+bool MatchIndex::SelectsEntryKeys(const EntryPatch& patch) const {
   const std::size_t pos = pos_of_[patch.entry_index];
-  // The arena budget (sum of entries' words) holds only if every slice
-  // keeps its size.
-  if (patch.action_data.size() != slices_[pos].size) return false;
-  // Ternary: every masked bit of the new rule must fall inside some
-  // existing chunk — bits above the compiled coverage have no rows to
-  // express them, so a rule using them forces a reseal.
-  for (const NibbleChunk& c : chunks_) {
-    if (c.field >= patch.ternary.size()) return false;
-  }
+  const auto holds = [&](std::size_t row, bool bit) {
+    return ((plane_[row * words_ + pos / 64] >> (pos % 64)) & 1) == bit;
+  };
+  // Ternary: a masked bit above the compiled chunk coverage has no row to
+  // express it. Within coverage a rule is the product of its nibble sets,
+  // so equal chunk rows mean the rule selects the entry's keys.
   for (std::size_t f = 0; f < patch.ternary.size(); ++f) {
     std::uint64_t covered = 0;
     for (const NibbleChunk& c : chunks_) {
@@ -511,22 +501,30 @@ bool MatchIndex::CanAbsorb(const EntryPatch& patch) const {
     }
     if ((patch.ternary[f].mask & ~covered) != 0) return false;
   }
-  // Range: the new bounds must land on existing elementary-interval
-  // boundaries, otherwise an interval would need splitting (reseal).
-  for (const RangeField& rf : ranges_) {
-    if (rf.field >= patch.range_lo.size() ||
-        rf.field >= patch.range_hi.size()) {
-      return false;
+  for (const NibbleChunk& c : chunks_) {
+    const TernaryRule& r = patch.ternary[c.field];
+    const std::uint64_t m = (r.mask >> c.shift) & 0xf;
+    const std::uint64_t v = (r.value >> c.shift) & m;
+    for (std::uint64_t nib = 0; nib < 16; ++nib) {
+      if (!holds(c.plane_row + nib, (nib & m) == v)) return false;
     }
+  }
+  // Range: bounds on elementary-interval boundaries make [lo, hi] a union
+  // of intervals, so equal interval rows mean the same bounds.
+  for (const RangeField& rf : ranges_) {
     const std::uint64_t lo = patch.range_lo[rf.field];
     const std::uint64_t hi = patch.range_hi[rf.field];
-    if (lo > hi) return false;
-    if (!std::binary_search(rf.starts.begin(), rf.starts.end(), lo)) {
+    if (lo > hi ||
+        !std::binary_search(rf.starts.begin(), rf.starts.end(), lo) ||
+        (hi != ~0ull &&
+         !std::binary_search(rf.starts.begin(), rf.starts.end(), hi + 1))) {
       return false;
     }
-    if (hi != ~0ull &&
-        !std::binary_search(rf.starts.begin(), rf.starts.end(), hi + 1)) {
-      return false;
+    for (std::size_t i = 0; i < rf.starts.size(); ++i) {
+      const std::uint64_t first = rf.starts[i];
+      const std::uint64_t last =
+          i + 1 < rf.starts.size() ? rf.starts[i + 1] - 1 : ~0ull;
+      if (!holds(rf.plane_row + i, lo <= first && hi >= last)) return false;
     }
   }
   return true;
@@ -536,7 +534,6 @@ void MatchIndex::ApplyDelta(std::span<const EntryPatch> patches) {
   const auto start = std::chrono::steady_clock::now();
   const EntryPatch* prev = nullptr;  // the patch applied just before
   std::size_t prev_pos = 0;
-  bool flipped = false;
   for (const EntryPatch& p : patches) {
     const std::size_t pos = pos_of_[p.entry_index];
     const std::span<const std::int64_t> words(p.action_data);
@@ -567,30 +564,9 @@ void MatchIndex::ApplyDelta(std::span<const EntryPatch> patches) {
     }
     prev = &p;
     prev_pos = pos;
-
-    for (const NibbleChunk& c : chunks_) {
-      const TernaryRule& r = p.ternary[c.field];
-      const std::uint64_t m = (r.mask >> c.shift) & 0xf;
-      const std::uint64_t v = (r.value >> c.shift) & m;
-      for (std::uint64_t nib = 0; nib < 16; ++nib) {
-        flipped |= SetBit(c.plane_row + nib, pos, (nib & m) == v);
-      }
-    }
-    for (const RangeField& rf : ranges_) {
-      const std::uint64_t lo = p.range_lo[rf.field];
-      const std::uint64_t hi = p.range_hi[rf.field];
-      for (std::size_t i = 0; i < rf.starts.size(); ++i) {
-        const std::uint64_t first = rf.starts[i];
-        const std::uint64_t last =
-            i + 1 < rf.starts.size() ? rf.starts[i + 1] - 1 : ~0ull;
-        flipped |= SetBit(rf.plane_row + i, pos, lo <= first && hi >= last);
-      }
-    }
     ++stats_.deltas_applied;
     stats_.leaf_words_patched += p.action_data.size();
   }
-  // The class tables hold each cell's winner; a flipped bit may move one.
-  if (flipped) DropClassTables();
   RefreshFootprint();
   ++stats_.reseals_avoided;
   stats_.delta_apply_ns += static_cast<std::uint64_t>(

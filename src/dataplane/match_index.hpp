@@ -36,9 +36,10 @@
 // ascending order; the first nonzero AND holds the winner. It costs
 // sum(rows) ANDs per aggregate word and per candidate word visited.
 //
-// Bit planes (what the class tables are compiled from, the ABV path and
-// the delta source). Per key field, the set of entries compatible with
-// every field value, as one bitset row over sorted positions:
+// Bit planes (what the class tables are compiled from, the ABV path, and
+// what a delta's match is checked against). Per key field, the set of
+// entries compatible with every field value, as one bitset row over sorted
+// positions:
 //
 //   * ternary fields are decomposed into 4-bit nibble chunks; each chunk
 //     owns a 16-row table (row v = entries whose rule accepts nibble value
@@ -51,21 +52,22 @@
 //     intervals (boundaries = every entry's lo and hi+1); each interval
 //     owns the row of entries whose [lo, hi] covers it.
 //
-// Deltas patch the planes and aggregates. A batch that leaves every plane
-// bit as it was (new action words on the same rules, the planner's only
-// delta kind) keeps the class tables; one that flips any bit drops them,
-// and the index serves by ABV, exactly, until the table is sealed again.
+// Deltas write action words only. A patch must repeat its entry's match
+// (SelectsEntryKeys checks it against the planes) and priority, so the
+// planes, the aggregates and the class tables never change after the
+// build: an index serves from class tables, or by ABV when over budget,
+// for its whole life.
 //
 // Action data: CRC expands one leaf into many entries carrying identical
 // words, so the arena stores each distinct slice once and every sorted
 // position keeps an {offset, size} pair into it. Arena words are int32, the
-// PHV's own width: the constructor and CanAbsorb reject any word outside
-// the PHV value domain (dataplane/phv.hpp), so narrowing is exact and the
-// table's action runs read the arena directly. Deltas are copy-on-write:
-// a slice another position may still use is never written; the patched
-// position gets a fresh slice appended to the arena (consecutive patches
-// with identical words share one append), and a slice only one position
-// uses is rewritten in place. The arena never grows past the sum of the
+// PHV's own width: the constructor rejects any word outside the PHV value
+// domain (dataplane/phv.hpp), as MatchActionTable does for a patch's, so
+// narrowing is exact and the table's action runs read the arena directly.
+// Deltas are copy-on-write: a slice another position may still use is
+// never written; the patched position gets a fresh slice appended to the
+// arena (consecutive patches with identical words share one append), and
+// a slice only one position uses is rewritten in place. The arena never grows past the sum of the
 // entries' action words: an append that would cross it first compacts the
 // arena to the slices still referenced.
 #pragma once
@@ -92,11 +94,12 @@ struct MatchIndexStats {
   /// Ternary fields: nibble chunk tables built (16 bitset rows each).
   std::size_t nibble_chunks = 0;
   /// 16-bit cells across the class tables; 0 when the index serves by
-  /// aggregated bit vectors (over budget, or a delta flipped a plane bit).
+  /// aggregated bit vectors (over budget).
   std::size_t class_cells = 0;
   /// Resident footprint of the class tables + bitset planes + aggregates +
-  /// boundaries + arena and its slice table; kept current across deltas,
-  /// and never above the footprint of the same index with no slice shared.
+  /// boundaries + arena and its slice table + the priority runs; kept
+  /// current across deltas, and never above the footprint of the same
+  /// index with no slice shared.
   std::size_t bytes = 0;
   double build_ms = 0.0;
   /// O(delta) update counters: in-place patches applied without a reseal.
@@ -141,22 +144,27 @@ class MatchIndex {
   /// has at least this many (deltas keep each slice's size).
   std::size_t MinActionWords() const { return min_words_; }
 
+  /// Action-word count of original entry `entry` (< stats().entries).
+  std::size_t ActionWords(std::size_t entry) const {
+    return slices_[pos_of_[entry]].size;
+  }
+
+  /// Priority of original entry `entry` (< stats().entries).
+  int Priority(std::size_t entry) const;
+
   const MatchIndexStats& stats() const { return stats_; }
 
-  /// True when `patch` can be applied in place: same action-data size (so
-  /// the arena budget holds) and a match representable by the compiled
-  /// planes — ternary masks within existing chunk coverage, range bounds
-  /// landing on existing elementary-interval boundaries. Anything else
-  /// needs a full reseal. Throws std::invalid_argument for an action word
-  /// outside the PHV value domain, which no reseal could hold either.
-  bool CanAbsorb(const EntryPatch& patch) const;
+  /// True when the match of `patch` selects exactly the keys its entry
+  /// (patch.entry_index < stats().entries) selects, read off the planes:
+  /// every masked ternary bit inside the compiled chunk coverage, range
+  /// bounds on elementary-interval boundaries, and every chunk or interval
+  /// row holding the entry's bit exactly where the patch's rule accepts.
+  /// The patch carries one rule or bound per key field.
+  bool SelectsEntryKeys(const EntryPatch& patch) const;
 
-  /// Applies pre-validated patches: repoints or rewrites each entry's
-  /// action slice (copy-on-write, see above) and flips its bits in every
-  /// chunk/interval row and their aggregates. Amortized O(patch words)
-  /// plus O(rows touched) per patch; a cloned index stays independent.
-  /// If any plane bit flips, the class tables are dropped (see above).
-  /// Every patch must satisfy CanAbsorb.
+  /// Applies validated patches (MatchActionTable::ValidateDelta): repoints
+  /// or rewrites each entry's action slice (copy-on-write, see above).
+  /// Amortized O(patch words) per patch; a cloned index stays independent.
   void ApplyDelta(std::span<const EntryPatch> patches);
 
  private:
@@ -192,6 +200,12 @@ class MatchIndex {
     std::uint32_t range = kNoRange;
     std::uint32_t cells = 0;  // first cell in cells_
   };
+  /// The sorted positions from `first` on hold `priority`, down to the
+  /// next run's first position.
+  struct PriorityRun {
+    std::uint32_t first = 0;
+    int priority = 0;
+  };
   /// One cross product of two earlier nodes (dimensions are nodes
   /// 0..dims-1, then products in order): cell a * classes_b + b.
   struct CrossProduct {
@@ -206,14 +220,10 @@ class MatchIndex {
   /// Compiles the planes into class tables when they fit the budget;
   /// otherwise leaves them empty and the index serves by ABV.
   void BuildClassTables();
-  void DropClassTables();
   /// FindBest by aggregated bit vectors: the path without class tables.
   std::int32_t FindByVectors(const std::uint64_t* keys) const;
   /// Appends `count` all-zero plane rows; returns the first new row.
   std::uint32_t AddRows(std::size_t count);
-  /// Sets or clears sorted position `pos` in `row`, keeping the row's
-  /// aggregate word exact; returns whether the bit changed.
-  bool SetBit(std::size_t row, std::size_t pos, bool on);
   /// Rebuilds the arena from `words_of(pos)` for every position, storing
   /// each distinct slice once, and recomputes shared_ exactly.
   template <class WordsOf>
@@ -238,6 +248,9 @@ class MatchIndex {
   /// original entry index -> sorted position (inverse of order_), so a
   /// delta patch addressed by entry index finds its bitset column in O(1).
   std::vector<std::uint32_t> pos_of_;
+  /// One run per distinct priority, by ascending first position: sorting
+  /// makes priorities monotone over positions.
+  std::vector<PriorityRun> priorities_;
   /// Distinct action-data slices, and each sorted position's slice.
   std::vector<std::int32_t> arena_;
   std::vector<Slice> slices_;

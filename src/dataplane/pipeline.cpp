@@ -14,7 +14,8 @@ std::size_t Pipeline::PlaceTable(std::unique_ptr<MatchActionTable> table,
                          std::to_string(stages_.size()) + " stages");
   }
   // Entry loading is done once a table reaches placement: compile its
-  // match index so the serving path is indexed from the first packet.
+  // match index so the serving path is indexed from the first packet, and
+  // drop the entries it was compiled from.
   table->Seal();
   const std::size_t sram = table->SramBits();
   const std::size_t tcam = table->TcamBits();
@@ -78,15 +79,6 @@ std::uint64_t Pipeline::Generation() const {
     for (const auto& table : stage.tables) g += table->generation();
   }
   return g;
-}
-
-bool Pipeline::FullySealed() const {
-  for (const Stage& stage : stages_) {
-    for (const auto& table : stage.tables) {
-      if (!table->sealed()) return false;
-    }
-  }
-  return true;
 }
 
 Pipeline::IndexReport Pipeline::MatchIndexReport() const {

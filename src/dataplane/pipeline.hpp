@@ -38,8 +38,8 @@ class Pipeline {
   /// Places `table` in the first stage >= `min_stage` with room for its
   /// SRAM/TCAM footprint and action-bus demand. Returns the stage index.
   /// Throws PlacementError when no stage fits. Placement seals the table
-  /// (compiling its bit-vector match index), so every table served from a
-  /// pipeline runs the indexed lookup path.
+  /// (compiling its match index and freeing its entries), so every placed
+  /// table serves from its index.
   std::size_t PlaceTable(std::unique_ptr<MatchActionTable> table,
                          std::size_t min_stage);
 
@@ -66,16 +66,11 @@ class Pipeline {
   std::size_t NumTables() const;
   std::size_t StagesUsed() const;
 
-  /// True when every placed ternary/range table is sealed — i.e. the whole
-  /// pipeline serves from compiled match indexes. (PlaceTable guarantees
-  /// this; the check is the runtime's seam for asserting it.)
-  bool FullySealed() const;
-
   /// Sum of the placed tables' generation counters — a cheap version stamp
   /// of the whole dataplane program. A long-lived reader (InferenceEngine)
   /// snapshots it at construction and asserts it unchanged in debug builds:
-  /// any AddEntry/Seal on a placed table moves the stamp, turning a silent
-  /// use-after-invalidate into a loud failure.
+  /// a delta or miss-program change on a placed table moves the stamp, so
+  /// an engine that would serve a stale view fails loudly instead.
   std::uint64_t Generation() const;
 
   /// Aggregate match-index build stats across all placed tables.
@@ -96,12 +91,12 @@ class Pipeline {
   };
   IndexReport MatchIndexReport() const;
 
-  /// Applies per-table entry deltas in place, by table name. Tables stay
-  /// sealed throughout (generation bumps, invalidated() never holds), so
-  /// no placed index is rebuilt. Throws std::invalid_argument on an
-  /// unknown table or an unabsorbable patch — validation of every table
-  /// runs before any mutation, so a throwing call leaves the pipeline
-  /// byte-identical. Returns total control-plane bytes pushed.
+  /// Writes per-table action-word deltas in place, by table name. No
+  /// placed index is rebuilt; each patched table's generation bumps once.
+  /// Throws std::invalid_argument on an unknown table or a patch its table
+  /// rejects (see MatchActionTable::ValidateDelta) — validation of every
+  /// table runs before any mutation, so a throwing call leaves the
+  /// pipeline byte-identical. Returns total control-plane bytes pushed.
   std::size_t ApplyDelta(std::span<const TablePatch> patches);
 
   /// Deep copy preserving placement, budgets and every compiled index (no

@@ -1,7 +1,7 @@
 // Match-action tables — the MAT abstraction of §2 and Figure 4.
 //
-// A table matches a tuple of PHV fields (exact in SRAM or ternary in TCAM)
-// and executes a small declarative action program on hit: write or
+// A table matches a tuple of PHV fields (ternary or range, in TCAM) and
+// executes a small declarative action program on hit: write or
 // accumulate action-data words into PHV fields. This is exactly the shape
 // Pegasus needs: a Map primitive is a lookup whose action data holds the
 // precomputed f(centroid) vector, and SumReduce rides along as AddFromData
@@ -14,7 +14,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dataplane/crc.hpp"
@@ -23,13 +22,13 @@
 
 namespace pegasus::dataplane {
 
-// kExact lives in SRAM; kTernary in TCAM (value+mask planes); kRange is
-// native range matching via 4-bit-nibble DirtCAM encoding (as on Tofino):
-// one entry per hyperrectangle, but each key bit costs 4 TCAM bits instead
-// of 2. The Pegasus lowering prefers CRC-expanded ternary entries and falls
-// back to range matching when the cross-product expansion of a wide-key
-// table would explode (e.g. RNN step tables keyed on the hidden state).
-enum class MatchKind { kExact, kTernary, kRange };
+// kTernary lives in TCAM (value+mask planes); kRange is native range
+// matching via 4-bit-nibble DirtCAM encoding (as on Tofino): one entry per
+// hyperrectangle, but each key bit costs 4 TCAM bits instead of 2. The
+// Pegasus lowering prefers CRC-expanded ternary entries and falls back to
+// range matching when the cross-product expansion of a wide-key table
+// would explode (e.g. RNN step tables keyed on the hidden state).
+enum class MatchKind { kTernary, kRange };
 
 /// One step of an action program. Every op computes in the PHV value
 /// domain (dataplane/phv.hpp) and clamps its result into [lo, hi]:
@@ -55,13 +54,12 @@ struct ActionOp {
   std::int64_t sat_max = -1;
 };
 
-/// A table entry: the match (exact key or per-field ternary rules), a
-/// priority (ternary only; higher wins), and the action-data words consumed
-/// by the table's action program. The words keep int64 as the control-plane
-/// type, but each must lie in the PHV value domain: AddEntry and
-/// ApplyDelta throw std::invalid_argument otherwise.
+/// A table entry: the match (per-field ternary rules or range bounds), a
+/// priority (higher wins), and the action-data words consumed by the
+/// table's action program. The words keep int64 as the control-plane type,
+/// but each must lie in the PHV value domain: AddEntry and ApplyDelta throw
+/// std::invalid_argument otherwise.
 struct TableEntry {
-  std::vector<std::uint64_t> exact_key;       // kExact
   std::vector<TernaryRule> ternary;           // kTernary, one per key field
   std::vector<std::uint64_t> range_lo;        // kRange, inclusive per field
   std::vector<std::uint64_t> range_hi;        // kRange
@@ -69,13 +67,14 @@ struct TableEntry {
   std::vector<std::int64_t> action_data;
 };
 
-/// An in-place update to one existing entry — the dataplane unit of an
-/// O(delta) model push. Addressed by original entry index; the match and
-/// priority ride along for validation: priority must not change (it pins
-/// the entry's sorted position in the compiled index) and the action data
-/// must keep its word count (it bounds the index's action arena). The
-/// match may change only within what the compiled planes can absorb — see
-/// MatchIndex::CanAbsorb.
+/// New action words for one installed entry — the dataplane unit of an
+/// O(delta) model push, which (as on the switch) modifies action data and
+/// never moves a rule. Addressed by original entry index; the match and
+/// priority name the entry, as a MODIFY names it by key, so both must
+/// repeat it: the match must select exactly the keys the entry selects
+/// (value bits outside a ternary mask are free) and the priority must be
+/// the entry's. The action data must keep its word count (it bounds the
+/// index's action arena). Anything else is a reseal.
 struct EntryPatch {
   std::size_t entry_index = 0;
   std::vector<TernaryRule> ternary;     // kTernary, one per key field
@@ -99,65 +98,56 @@ class MatchActionTable {
   const std::string& name() const { return name_; }
   MatchKind kind() const { return kind_; }
 
-  /// Adds an entry. Invalidates a previously sealed match index; call
-  /// Seal() again before serving traffic to restore the indexed path.
-  /// Throws std::invalid_argument, changing nothing, on an arity mismatch
-  /// or an action word outside the value domain.
+  /// Adds an entry to an unsealed table. Throws std::invalid_argument,
+  /// changing nothing, on an arity mismatch or an action word outside the
+  /// value domain, and std::logic_error, changing nothing, once sealed.
   void AddEntry(TableEntry entry);
-  std::size_t NumEntries() const { return entries_.size(); }
+  std::size_t NumEntries() const { return num_entries_; }
 
-  // ---- sealed/mutable lifecycle ---------------------------------------
+  // ---- build/sealed lifecycle -----------------------------------------
   //
-  // A table is *mutable* while entries are loaded and *sealed* while
-  // serving. Seal() compiles the bit-vector MatchIndex for ternary/range
-  // tables (see dataplane/match_index.hpp) so Apply/ApplyBatch/Lookup run
-  // word-parallel bitset ANDs instead of a linear entry scan. Tables below
-  // kIndexMinEntries seal without an index — the scan is already cheaper
-  // than two bitset probes there. Pipeline::PlaceTable seals automatically,
-  // so every compiled/lowered model serves from the indexed path.
+  // A table is *unsealed* while entries load and *sealed* while serving.
+  // Seal() compiles the MatchIndex (dataplane/match_index.hpp) and frees
+  // the entry list: a sealed table holds only its index, its compiled hit
+  // and miss programs (with the miss data) and the counts Report() needs.
+  // From then on it changes only by action-word deltas (ApplyDelta) and
+  // SetMissProgram. An unsealed table serves by a linear scan of its
+  // entries, the reference the index is tested against.
+  // Pipeline::PlaceTable seals every table it places.
 
-  /// Entry count below which Seal() keeps the linear scan.
-  static constexpr std::size_t kIndexMinEntries = 8;
-
-  /// Compiles the match index (idempotent). Exact tables seal trivially —
-  /// their hash index is maintained incrementally by AddEntry.
+  /// Compiles the match index and frees the entries (idempotent).
   void Seal();
-  bool sealed() const { return sealed_; }
-  /// True when a previously sealed table was mutated and not re-sealed —
-  /// the use-after-invalidate hazard window. A live InferenceEngine holding
-  /// the pipeline would silently serve the linear fallback here, so the
-  /// serving paths (Apply/ApplyBatch) assert !invalidated() in debug
-  /// builds; Lookup stays usable as the linear-scan oracle for tests.
-  bool invalidated() const { return ever_sealed_ && !sealed_; }
+  bool sealed() const { return index_ != nullptr; }
   /// Monotonic generation counter: bumped by every mutation (AddEntry,
-  /// SetMissProgram) and every (non-idempotent) Seal(). Snapshot it when
+  /// ApplyDelta, SetMissProgram) and by the first Seal(). Snapshot it when
   /// handing the table to a long-lived reader — a changed generation means
   /// the reader's view is stale. Pipeline::Generation() aggregates it.
   std::uint64_t generation() const { return generation_; }
-  /// Build/footprint stats of the compiled index; nullptr when the table
-  /// is unsealed, exact, or too small to index.
+  /// Build/footprint stats of the compiled index; nullptr when unsealed.
   const MatchIndexStats* index_stats() const {
     return index_ ? &index_->stats() : nullptr;
   }
 
-  /// Applies in-place entry patches without invalidating the seal. All
-  /// patches are validated up front (index range, arity, data size and
-  /// domain, priority, absorbable by the compiled index); on any failure
-  /// the table is left byte-identical and std::invalid_argument is thrown —
-  /// the caller falls back to a full reseal. On success entries and index are
-  /// patched together and generation() bumps once, so the table never
-  /// passes through invalidated() and lookups never see a torn state.
-  /// Returns the control-plane bytes the push writes (action-data words +
-  /// value/mask match words per patch).
+  /// Writes new action words into installed entries of a sealed table.
+  /// All patches are validated up front (see ValidateDelta); on any
+  /// failure the table is left byte-identical and the exception propagates
+  /// — the caller falls back to a full reseal. On success the index's
+  /// action slices are rewritten and generation() bumps once, so lookups
+  /// never see a torn state. Returns the control-plane bytes the push
+  /// writes (action-data words + value/mask match words per patch).
   std::size_t ApplyDelta(std::span<const EntryPatch> patches);
 
-  /// The validation half of ApplyDelta, without the mutation — throws
-  /// std::invalid_argument on the first unabsorbable patch. Lets a caller
+  /// The validation half of ApplyDelta, without the mutation. Throws
+  /// std::logic_error on an unsealed table, and std::invalid_argument on
+  /// the first patch with an entry index out of range, a wrong arity, a
+  /// resized or out-of-domain action word, a changed priority, or a match
+  /// that does not select exactly the entry's keys. Lets a caller
   /// pre-validate a multi-table delta so the whole push is atomic.
   void ValidateDelta(std::span<const EntryPatch> patches) const;
 
-  /// Deep copy, including the compiled match index (a memcpy-level copy —
-  /// no recompilation). The foundation of clone→patch→publish updates.
+  /// Deep copy: the compiled match index (a memcpy-level copy, no
+  /// recompilation), the programs and the counts — and, while unsealed,
+  /// the entries. The foundation of clone→patch→publish updates.
   std::unique_ptr<MatchActionTable> Clone() const;
 
   /// Default action program executed on miss (empty = no-op); compiled
@@ -173,45 +163,31 @@ class MatchActionTable {
   /// word past the matched entry's (or the miss) action data.
   bool Apply(Phv& phv) const;
 
-  /// Batch counterpart of Apply with identical per-packet results:
-  /// gathers every packet's key once, then looks each packet up — one
-  /// MatchIndex probe when sealed, else an entry-major scan that streams
-  /// each entry's rules across the whole batch. Actions run after the
-  /// lookups, exactly the lookup-then-act order of Apply, as the compiled
-  /// runs' straight int32 loops over each PHV's contiguous fields. When
-  /// sealed, the bounds are checked once per batch, before any write:
-  /// every PHV against the highest key and target field, the index's
-  /// shortest action slice and the miss data against the programs' highest
-  /// data index (std::out_of_range, as Apply). Returns the number of hits.
+  /// Batch counterpart of Apply with identical per-packet results. Sealed,
+  /// it gathers every packet's key once, then probes the MatchIndex once
+  /// per packet; actions run after the lookups, exactly the lookup-then-act
+  /// order of Apply, as the compiled runs' straight int32 loops over each
+  /// PHV's contiguous fields. The bounds are checked once per batch, before
+  /// any write: every PHV against the highest key and target field, the
+  /// index's shortest action slice and the miss data against the programs'
+  /// highest data index (std::out_of_range, as Apply). Unsealed, it calls
+  /// Apply on each packet in turn. Returns the number of hits.
   std::size_t ApplyBatch(std::span<Phv> batch) const;
 
   /// Index of the matching entry, if any (for tests/debugging).
   std::optional<std::size_t> Lookup(const Phv& phv) const;
 
-  /// Test-only: truncates the exact-match hash to `bits` so collisions are
-  /// reproducible (verifies the chained index resolves them). Must be
-  /// called before the first AddEntry.
-  void SetExactHashBitsForTest(int bits) {
-    exact_hash_mask_ = bits >= 64 ? ~0ull : (1ull << bits) - 1;
-  }
-
   // ---- resource accounting -------------------------------------------
   std::size_t KeyBits() const;
   /// Bits of action data fetched per lookup (drives the action bus column).
   std::size_t ActionDataBits() const;
-  /// SRAM bits: exact tables store key+data; ternary tables keep their
-  /// action data in SRAM while the match lives in TCAM.
+  /// SRAM bits: every entry's action data (the match lives in TCAM).
   std::size_t SramBits() const;
-  /// TCAM bits: value+mask per key bit per entry (ternary only).
+  /// TCAM bits: value+mask per key bit per entry (ternary), or the DirtCAM
+  /// nibble encoding (range).
   std::size_t TcamBits() const;
 
  private:
-  std::uint64_t ExactHash(const std::vector<std::uint64_t>& key) const;
-  /// Same byte-for-byte hash, computed straight from the PHV key fields —
-  /// no per-lookup key buffer is materialized.
-  std::uint64_t ExactHashFromPhv(const Phv& phv) const;
-  std::optional<std::size_t> ExactLookup(const Phv& phv) const;
-  bool EntryMatches(const TableEntry& e, const Phv& phv) const;
 
   /// An action program compiled into runs: maximal stretches of
   /// consecutive same-kind ops whose target field steps by one (and, for
@@ -246,10 +222,9 @@ class MatchActionTable {
   /// std::out_of_range before any write), then executes its runs.
   void RunProgram(Phv& phv, const ActionRuns& program,
                   std::span<const std::int32_t> data) const;
-  /// Linear-scan reference for ternary/range (unsealed fallback; also the
-  /// oracle the indexed path is property-tested against).
-  std::optional<std::size_t> LinearLookupTernary(
-      const std::uint64_t* key) const;
+  /// The unsealed table's linear scan over its entries: the reference the
+  /// indexed path is property-tested against.
+  std::optional<std::size_t> LinearLookup(const std::uint64_t* key) const;
   /// Gathers the PHV key fields and consults the compiled index; the
   /// returned value is a MatchIndex sorted position (kMiss on miss).
   std::int32_t IndexedFind(const Phv& phv) const;
@@ -261,19 +236,13 @@ class MatchActionTable {
   std::size_t key_fields_needed_ = 0;  // highest key field + 1, or 0
   ActionRuns hit_program_;
   int action_data_word_bits_;
-  std::vector<TableEntry> entries_;
+  std::vector<TableEntry> entries_;  // the build form; Seal() frees it
+  std::size_t num_entries_ = 0;
+  std::size_t max_action_words_ = 0;  // widest entry's action data
   ActionRuns miss_program_;
   std::vector<std::int32_t> miss_data_;
-  // Exact-match index: hashed key -> chained entry indices. Chaining (not
-  // last-write-wins) keeps distinct keys with colliding hashes reachable;
-  // Lookup verifies the full key on every candidate.
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> exact_index_;
-  std::uint64_t exact_hash_mask_ = ~0ull;
-  // Compiled ternary/range index (sealed lifecycle).
-  bool sealed_ = false;
-  bool ever_sealed_ = false;
   std::uint64_t generation_ = 0;
-  std::unique_ptr<MatchIndex> index_;
+  std::unique_ptr<MatchIndex> index_;  // the serving form; set by Seal()
 };
 
 }  // namespace pegasus::dataplane

@@ -15,13 +15,6 @@ InferenceEngine::InferenceEngine(const LoweredModel& model,
   if (batch_capacity == 0) {
     throw std::invalid_argument("InferenceEngine: batch_capacity must be > 0");
   }
-  // Lower() places every table through Pipeline::PlaceTable, which seals
-  // it; assert that here so the batched hot loop is guaranteed to serve
-  // from compiled match indexes, never the linear fallback.
-  if (!model.pipeline().FullySealed()) {
-    throw std::logic_error(
-        "InferenceEngine: lowered pipeline has unsealed tables");
-  }
   // The parse-time image, checked once here: Set rejects a parser init on
   // an unknown field or outside the PHV value domain. Rows then copy it and
   // write their inputs (and read outputs) through Phv::values() unchecked.
@@ -44,8 +37,8 @@ InferenceEngine::InferenceEngine(const LoweredModel& model,
 }
 
 void InferenceEngine::RunChunk(const float* rows, std::size_t n) {
-  // Use-after-invalidate guard: the pipeline must not have been resealed
-  // or mutated since this engine snapshotted it.
+  // Stale-view guard: no placed table may have been patched since this
+  // engine snapshotted the pipeline.
   assert(model_->pipeline().Generation() == pipeline_generation_ &&
          "InferenceEngine: pipeline mutated under a live engine");
   const auto& input_fields = model_->input_fields();

@@ -92,8 +92,8 @@ class InferenceEngine {
   std::vector<std::int64_t> raw_scratch_;
   Stats stats_;
   /// Pipeline::Generation() snapshot from construction; RunChunk asserts it
-  /// unchanged in debug builds (use-after-invalidate detection — a placed
-  /// table mutated under a live engine).
+  /// unchanged in debug builds (a placed table patched under a live
+  /// engine).
   std::uint64_t pipeline_generation_ = 0;
 };
 

@@ -359,8 +359,8 @@ LoweredModel LowerImpl(const core::CompiledModel& model,
   }
 
   // Every Map table went through Pipeline::PlaceTable above, which seals
-  // it (compiling its bit-vector match index) — the lowered model serves
-  // exclusively from the indexed lookup path; InferenceEngine asserts this.
+  // it (compiling its match index) — the lowered model serves exclusively
+  // from the indexed lookup path.
   lowered.input_fields_ = fields[p.input()];
   lowered.output_fields_ = fields[p.output()];
   lowered.output_quant_ = quant[p.output()];

@@ -462,11 +462,11 @@ void StreamServer::SwapModelDelta(
   // hold their own references and, in MT mode, may not reach the swap
   // boundary for a while), so the patches land on a private deep copy.
   // The clone preserves placement and every compiled match index —
-  // ApplyDelta rewrites only the moved action words and the affected
-  // chunk-bitset / interval rows, never re-sealing a table — so the
-  // producer-side cost is O(clone + delta), not O(re-lower). Throws
-  // std::invalid_argument (pipeline untouched, nothing published) when a
-  // patch cannot be absorbed in place.
+  // ApplyDelta rewrites only the patched entries' action words, never
+  // re-sealing a table — so the producer-side cost is O(clone + delta),
+  // not O(re-lower). Throws std::invalid_argument (pipeline untouched,
+  // nothing published) when a patch moves a rule or otherwise fails
+  // validation.
   const auto t0 = std::chrono::steady_clock::now();
   auto patched = std::make_shared<LoweredModel>(serving_->model->Clone());
   const auto before = patched->pipeline().MatchIndexReport();

@@ -396,8 +396,8 @@ class StreamServer {
 
   /// O(delta) hot swap: instead of publishing a freshly lowered artifact,
   /// clones the serving model (tables, placement and compiled match
-  /// indexes — no re-lowering), applies the planner's entry patches in
-  /// place on the clone (MatchIndex::ApplyDelta), and publishes the clone
+  /// indexes — no re-lowering), writes the planner's action-word patches
+  /// in place on the clone (MatchIndex::ApplyDelta), and publishes the clone
   /// through the identical epoch handoff as SwapModel — single-threaded
   /// at the packet boundary, multi-threaded in-band through the rings.
   /// MT == ST decision equality and the transactional guarantee carry
@@ -406,9 +406,10 @@ class StreamServer {
   ///
   /// `patches` must come from control::CollectPatches on an UpdatePlan
   /// against the serving version (no structure change, no reseals); a
-  /// patch the dataplane cannot absorb in place throws
-  /// std::invalid_argument before anything is published. Call from the
-  /// producer thread; requires a strictly increasing version.
+  /// patch that moves a rule, or that MatchActionTable::ValidateDelta
+  /// otherwise rejects, throws std::invalid_argument before anything is
+  /// published. Call from the producer thread; requires a strictly
+  /// increasing version.
   void SwapModelDelta(std::span<const dataplane::TablePatch> patches,
                       std::uint64_t version);
 

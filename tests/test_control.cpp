@@ -11,8 +11,10 @@
 //    rejects over-subscription with a structured AdmissionError.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <sstream>
+#include <utility>
 
 #include "control/planner.hpp"
 #include "control/registry.hpp"
@@ -56,6 +58,29 @@ comp::VersionedModel Compile(std::uint64_t weight_seed,
   const auto x = TrainInputs(data_seed);
   return comp::CompileVersioned(BuildProgram(weight_seed), x, 1500, copts,
                                 lopts);
+}
+
+/// Two compiles of one nonlinear map over the same data, with and without
+/// §4.4 output refinement: same quantization and leaf boxes, moved leaf
+/// words — an entry-delta plan from the first to the second.
+std::pair<comp::VersionedModel, comp::VersionedModel> RefinedPair() {
+  auto build = [] {
+    core::ProgramBuilder b(4);
+    core::MapFunction sq;
+    sq.name = "square";
+    sq.in_dim = 4;
+    sq.out_dim = 2;
+    sq.fn = [](std::span<const float> x) {
+      return std::vector<float>{x[0] * x[0] / 255.0f + x[1],
+                                x[2] * x[2] / 255.0f + x[3]};
+    };
+    return b.Finish(b.Map(b.input(), std::move(sq), 24));
+  };
+  core::CompileOptions without;
+  without.refine_outputs = false;
+  const auto x = TrainInputs(2);
+  return {comp::CompileVersioned(build(), x, 1500),
+          comp::CompileVersioned(build(), x, 1500, without)};
 }
 
 }  // namespace
@@ -198,24 +223,7 @@ TEST(UpdatePlanner, RefinedOutputsPlanToEntryDeltas) {
   // identical, only the stored leaf output words move — the entry-delta
   // case. The map must be nonlinear (mean f(x) != f(centroid)); for linear
   // maps §4.4 refinement is a no-op and the plan correctly says unchanged.
-  auto build = [] {
-    core::ProgramBuilder b(4);
-    core::MapFunction sq;
-    sq.name = "square";
-    sq.in_dim = 4;
-    sq.out_dim = 2;
-    sq.fn = [](std::span<const float> x) {
-      return std::vector<float>{x[0] * x[0] / 255.0f + x[1],
-                                x[2] * x[2] / 255.0f + x[3]};
-    };
-    return b.Finish(b.Map(b.input(), std::move(sq), 24));
-  };
-  core::CompileOptions with;
-  core::CompileOptions without;
-  without.refine_outputs = false;
-  const auto x = TrainInputs(2);
-  const auto a = comp::CompileVersioned(build(), x, 1500, with);
-  const auto b = comp::CompileVersioned(build(), x, 1500, without);
+  const auto [a, b] = RefinedPair();
   const auto plan = ctrl::PlanUpdate(a, b);
   EXPECT_FALSE(plan.structure_changed);
   EXPECT_GT(plan.entry_delta, 0u);
@@ -326,24 +334,7 @@ TEST(UpdatePlanner, EntryDeltaPatchesReproduceTargetBitForBit) {
   // an entry-delta plan, applied to a Clone() of the serving artifact,
   // must (a) cost exactly what the dataplane reports pushing and (b)
   // yield an artifact bit-identical to the freshly lowered target.
-  auto build = [] {
-    core::ProgramBuilder b(4);
-    core::MapFunction sq;
-    sq.name = "square";
-    sq.in_dim = 4;
-    sq.out_dim = 2;
-    sq.fn = [](std::span<const float> x) {
-      return std::vector<float>{x[0] * x[0] / 255.0f + x[1],
-                                x[2] * x[2] / 255.0f + x[3]};
-    };
-    return b.Finish(b.Map(b.input(), std::move(sq), 24));
-  };
-  core::CompileOptions with;
-  core::CompileOptions without;
-  without.refine_outputs = false;
-  const auto x = TrainInputs(2);
-  const auto a = comp::CompileVersioned(build(), x, 1500, with);
-  const auto b = comp::CompileVersioned(build(), x, 1500, without);
+  const auto [a, b] = RefinedPair();
   const auto plan = ctrl::PlanUpdate(a, b);
   ASSERT_FALSE(plan.structure_changed);
   ASSERT_GT(plan.entry_delta, 0u);
@@ -378,6 +369,37 @@ TEST(UpdatePlanner, EntryDeltaPatchesReproduceTargetBitForBit) {
                                 std::floor(dist(rng)), std::floor(dist(rng))};
     ASSERT_EQ(a.lowered->InferRaw(in), fresh_a.InferRaw(in));
   }
+}
+
+TEST(UpdatePlanner, EntryDeltaPatchesRepeatTheInstalledMatch) {
+  // Every patch names an installed entry by its match and priority and
+  // carries new words only: checked against the install sequence of the
+  // serving version at the same entry index.
+  const auto [a, b] = RefinedPair();
+  const auto plan = ctrl::PlanUpdate(a, b);
+  ASSERT_GT(plan.entry_delta, 0u);
+  const auto pushes = ctrl::EmitPushSequence(a);
+  std::size_t checked = 0;
+  for (const dp::TablePatch& tp : ctrl::CollectPatches(plan)) {
+    const auto push = std::find_if(
+        pushes.begin(), pushes.end(),
+        [&](const rt::TableEntryPush& p) { return p.table == tp.table; });
+    ASSERT_NE(push, pushes.end()) << tp.table;
+    bool moved_words = false;
+    for (const dp::EntryPatch& patch : tp.patches) {
+      ASSERT_LT(patch.entry_index, push->entries.size());
+      const dp::TableEntry& installed = push->entries[patch.entry_index];
+      EXPECT_EQ(patch.ternary, installed.ternary) << tp.table;
+      EXPECT_EQ(patch.range_lo, installed.range_lo) << tp.table;
+      EXPECT_EQ(patch.range_hi, installed.range_hi) << tp.table;
+      EXPECT_EQ(patch.priority, installed.priority) << tp.table;
+      EXPECT_EQ(patch.action_data.size(), installed.action_data.size());
+      moved_words |= patch.action_data != installed.action_data;
+      ++checked;
+    }
+    EXPECT_TRUE(moved_words) << tp.table << ": a patch must move some words";
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(UpdatePlanner, CollectPatchesRejectsResealAndStructurePlans) {

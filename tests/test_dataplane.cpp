@@ -57,40 +57,29 @@ TEST(Phv, ValueDomainIsCheckedOnSet) {
 
 namespace {
 
-std::unique_ptr<dp::MatchActionTable> MakeExactTable(dp::FieldId key,
-                                                     dp::FieldId out) {
+/// A ternary table on an 8-bit key whose hit copies word 0 into `out`.
+std::unique_ptr<dp::MatchActionTable> MakeTable(dp::FieldId key,
+                                                dp::FieldId out) {
   std::vector<dp::ActionOp> prog{{dp::ActionOp::Kind::kSetFromData, out, 0,
                                   0, -1}};
-  auto t = std::make_unique<dp::MatchActionTable>(
-      "t", dp::MatchKind::kExact, std::vector<dp::FieldId>{key},
+  return std::make_unique<dp::MatchActionTable>(
+      "t", dp::MatchKind::kTernary, std::vector<dp::FieldId>{key},
       std::vector<int>{8}, prog, 16);
-  return t;
+}
+
+/// An entry matching exactly `key` on an 8-bit field (a full mask).
+dp::TableEntry KeyEntry(std::uint64_t key, std::vector<std::int64_t> words) {
+  return {.ternary = {dp::TernaryRule{key, 0xff}},
+          .action_data = std::move(words)};
 }
 
 }  // namespace
-
-TEST(Table, ExactMatchHitAndMiss) {
-  dp::PhvLayout layout;
-  const auto key = layout.AddField("k", 8);
-  const auto out = layout.AddField("o", 16);
-  auto t = MakeExactTable(key, out);
-  t->AddEntry({.exact_key = {5}, .action_data = {111}});
-  t->AddEntry({.exact_key = {9}, .action_data = {222}});
-
-  dp::Phv phv(layout);
-  phv.Set(key, 5);
-  EXPECT_TRUE(t->Apply(phv));
-  EXPECT_EQ(phv.Get(out), 111);
-  phv.Set(key, 7);
-  EXPECT_FALSE(t->Apply(phv));
-  EXPECT_EQ(phv.Get(out), 111);  // unchanged on miss
-}
 
 TEST(Table, MissProgramRuns) {
   dp::PhvLayout layout;
   const auto key = layout.AddField("k", 8);
   const auto out = layout.AddField("o", 16);
-  auto t = MakeExactTable(key, out);
+  auto t = MakeTable(key, out);
   t->SetMissProgram({{dp::ActionOp::Kind::kSetConst, out, 0, -7, -1}}, {});
   dp::Phv phv(layout);
   phv.Set(key, 1);
@@ -123,8 +112,8 @@ TEST(Table, SaturatingAddAction) {
   const auto acc = layout.AddField("acc", 10);
   std::vector<dp::ActionOp> prog{{dp::ActionOp::Kind::kAddFromData, acc, 0,
                                   0, 1023}};
-  dp::MatchActionTable t("t", dp::MatchKind::kExact, {key}, {8}, prog, 16);
-  t.AddEntry({.exact_key = {1}, .action_data = {1000}});
+  dp::MatchActionTable t("t", dp::MatchKind::kTernary, {key}, {8}, prog, 16);
+  t.AddEntry(KeyEntry(1, {1000}));
   dp::Phv phv(layout);
   phv.Set(key, 1);
   phv.Set(acc, 100);
@@ -133,6 +122,8 @@ TEST(Table, SaturatingAddAction) {
 }
 
 TEST(Table, ResourceAccounting) {
+  // The counts Report() reads are kept as entries load, so sealing (which
+  // frees the entries) leaves every one of them as it was.
   dp::PhvLayout layout;
   const auto key = layout.AddField("k", 10);
   const auto out = layout.AddField("o", 16);
@@ -141,24 +132,63 @@ TEST(Table, ResourceAccounting) {
   dp::MatchActionTable ternary("t", dp::MatchKind::kTernary, {key}, {10},
                                prog, 16);
   ternary.AddEntry({.ternary = {dp::TernaryRule{0, 0}}, .action_data = {1, 2}});
-  ternary.AddEntry({.ternary = {dp::TernaryRule{1, 1}}, .action_data = {3, 4}});
-  EXPECT_EQ(ternary.KeyBits(), 10u);
-  EXPECT_EQ(ternary.ActionDataBits(), 32u);           // 2 words x 16 b
-  EXPECT_EQ(ternary.TcamBits(), 2u * 2u * 10u);       // 2 entries
-  EXPECT_EQ(ternary.SramBits(), 2u * 32u);            // data only
-
-  dp::MatchActionTable exact("e", dp::MatchKind::kExact, {key}, {10}, prog,
+  ternary.AddEntry({.ternary = {dp::TernaryRule{1, 1}}, .action_data = {3}});
+  dp::MatchActionTable range("r", dp::MatchKind::kRange, {key}, {10}, prog,
                              16);
-  exact.AddEntry({.exact_key = {3}, .action_data = {1}});
-  EXPECT_EQ(exact.TcamBits(), 0u);
-  EXPECT_EQ(exact.SramBits(), 10u + 16u);
+  range.AddEntry({.range_lo = {0}, .range_hi = {100}, .action_data = {1}});
+  range.AddEntry({.range_lo = {50}, .range_hi = {900}, .action_data = {2}});
+  range.AddEntry({.range_lo = {3}, .range_hi = {3}, .action_data = {1, 2, 3}});
+  const auto expect_counts = [&] {
+    EXPECT_EQ(ternary.NumEntries(), 2u);
+    EXPECT_EQ(ternary.KeyBits(), 10u);
+    EXPECT_EQ(ternary.ActionDataBits(), 32u);      // widest: 2 words x 16 b
+    EXPECT_EQ(ternary.TcamBits(), 2u * 2u * 10u);  // 2 entries
+    EXPECT_EQ(ternary.SramBits(), 2u * 32u);       // data only
+    EXPECT_EQ(range.NumEntries(), 3u);
+    EXPECT_EQ(range.KeyBits(), 10u);
+    EXPECT_EQ(range.ActionDataBits(), 48u);
+    EXPECT_EQ(range.TcamBits(), 3u * 48u);  // 3 nibbles x 16 b per entry
+    EXPECT_EQ(range.SramBits(), 3u * 48u);
+  };
+  expect_counts();
+  ternary.Seal();
+  range.Seal();
+  ASSERT_TRUE(ternary.sealed() && range.sealed());
+  expect_counts();
 }
 
 TEST(Table, ArityValidation) {
   dp::PhvLayout layout;
   const auto key = layout.AddField("k", 8);
-  auto t = MakeExactTable(key, key);
-  EXPECT_THROW(t->AddEntry({.exact_key = {1, 2}}), std::invalid_argument);
+  auto t = MakeTable(key, key);
+  EXPECT_THROW(t->AddEntry({.ternary = {dp::TernaryRule{1, 0xff},
+                                        dp::TernaryRule{2, 0xff}}}),
+               std::invalid_argument);
+  EXPECT_THROW(t->AddEntry({.range_lo = {1}, .range_hi = {2}}),
+               std::invalid_argument);
+  EXPECT_EQ(t->NumEntries(), 0u);
+}
+
+TEST(Table, AddEntryOnASealedTableThrowsAndChangesNothing) {
+  dp::PhvLayout layout;
+  const auto key = layout.AddField("k", 8);
+  const auto out = layout.AddField("o", 16);
+  auto t = MakeTable(key, out);
+  for (std::uint64_t e = 0; e < 4; ++e) {
+    t->AddEntry(KeyEntry(e, {static_cast<std::int64_t>(10 * e)}));
+  }
+  t->Seal();
+  const std::uint64_t gen = t->generation();
+  EXPECT_THROW(t->AddEntry(KeyEntry(9, {90})), std::logic_error);
+  EXPECT_EQ(t->NumEntries(), 4u);
+  EXPECT_EQ(t->generation(), gen);
+  dp::Phv phv(layout);
+  for (std::int64_t k = 0; k < 10; ++k) {
+    phv.Set(key, k);
+    phv.Set(out, -1);
+    EXPECT_EQ(t->Apply(phv), k < 4) << "key " << k;
+    EXPECT_EQ(phv.Get(out), k < 4 ? 10 * k : -1) << "key " << k;
+  }
 }
 
 // ----------------------------------------------------------- value domain
@@ -208,27 +238,6 @@ TEST(ValueDomain, WordsOutsideTheDomainAreRejectedWithoutAChange) {
   }
   EXPECT_EQ(t.NumEntries(), 10u);
   EXPECT_EQ(t.generation(), gen);
-
-  // A table too small to index keeps the entry words it serves from.
-  dp::MatchActionTable small("small", dp::MatchKind::kTernary, {key}, {8},
-                             {{dp::ActionOp::Kind::kSetFromData, out, 0, 0,
-                               -1}},
-                             32);
-  small.AddEntry({.ternary = {dp::TernaryRule{0, 0}}, .action_data = {7}});
-  small.Seal();
-  ASSERT_EQ(small.index_stats(), nullptr);
-  const std::uint64_t small_gen = small.generation();
-  for (const std::int64_t bad : {kBelow, kAbove}) {
-    const dp::EntryPatch patch{.entry_index = 0,
-                               .ternary = {dp::TernaryRule{0, 0}},
-                               .action_data = {bad}};
-    EXPECT_THROW(small.ApplyDelta(std::span(&patch, 1)),
-                 std::invalid_argument);
-    EXPECT_EQ(small.generation(), small_gen);
-    dp::Phv phv(layout);
-    ASSERT_TRUE(small.Apply(phv));
-    EXPECT_EQ(phv.Get(out), 7);
-  }
 
   // The index checks the words it is compiled from, too.
   std::vector<dp::TableEntry> raw(8, {.ternary = {dp::TernaryRule{0, 0}},
@@ -515,16 +524,16 @@ TEST(Pipeline, PlacementRespectsMinStageAndCapacity) {
   const auto key = layout.AddField("k", 8);
   const auto out = layout.AddField("o", 16);
 
-  auto t1 = MakeExactTable(key, out);
-  t1->AddEntry({.exact_key = {1}, .action_data = {10}});
-  auto t2 = MakeExactTable(key, out);
-  t2->AddEntry({.exact_key = {1}, .action_data = {20}});
+  auto t1 = MakeTable(key, out);
+  t1->AddEntry(KeyEntry(1, {10}));
+  auto t2 = MakeTable(key, out);
+  t2->AddEntry(KeyEntry(1, {20}));
   EXPECT_EQ(pipe.PlaceTable(std::move(t1), 0), 0u);
   // Second table exceeds stage 0's action bus -> spills to stage 1.
   EXPECT_EQ(pipe.PlaceTable(std::move(t2), 0), 1u);
 
-  auto t3 = MakeExactTable(key, out);
-  t3->AddEntry({.exact_key = {1}, .action_data = {30}});
+  auto t3 = MakeTable(key, out);
+  t3->AddEntry(KeyEntry(1, {30}));
   EXPECT_THROW(pipe.PlaceTable(std::move(t3), 0), dp::PlacementError);
 }
 
@@ -534,14 +543,14 @@ TEST(Pipeline, ProcessRunsStagesInOrder) {
   const auto key = layout.AddField("k", 8);
   const auto out = layout.AddField("o", 16);
   // Stage 0 writes 1; stage 1 adds 2 (reads the stage-0 result).
-  auto t1 = MakeExactTable(key, out);
-  t1->AddEntry({.exact_key = {1}, .action_data = {100}});
+  auto t1 = MakeTable(key, out);
+  t1->AddEntry(KeyEntry(1, {100}));
   std::vector<dp::ActionOp> add_prog{{dp::ActionOp::Kind::kAddConst, out, 0,
                                       23, -1}};
   auto t2 = std::make_unique<dp::MatchActionTable>(
-      "add", dp::MatchKind::kExact, std::vector<dp::FieldId>{key},
+      "add", dp::MatchKind::kTernary, std::vector<dp::FieldId>{key},
       std::vector<int>{8}, add_prog, 16);
-  t2->AddEntry({.exact_key = {1}});
+  t2->AddEntry(KeyEntry(1, {}));
   pipe.PlaceTable(std::move(t1), 0);
   pipe.PlaceTable(std::move(t2), 1);
 
@@ -556,13 +565,14 @@ TEST(Pipeline, ReportAggregates) {
   dp::PhvLayout layout;
   const auto key = layout.AddField("k", 8);
   const auto out = layout.AddField("o", 16);
-  auto t = MakeExactTable(key, out);
-  t->AddEntry({.exact_key = {1}, .action_data = {10}});
+  auto t = MakeTable(key, out);
+  t->AddEntry(KeyEntry(1, {10}));
   pipe.PlaceTable(std::move(t), 3);
   pipe.DeclareFlowState(44);
   const auto rep = pipe.Report();
   EXPECT_EQ(rep.stages_used, 1u);
-  EXPECT_EQ(rep.sram_bits, 8u + 16u);
+  EXPECT_EQ(rep.sram_bits, 16u);      // one 16-bit action word
+  EXPECT_EQ(rep.tcam_bits, 2u * 8u);  // value + mask of the 8-bit key
   EXPECT_EQ(rep.stateful_bits_per_flow, 44u);
   EXPECT_GT(rep.SramPct(pipe.switch_model()), 0.0);
 }

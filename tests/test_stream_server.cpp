@@ -1074,6 +1074,68 @@ TEST(StreamServerDelta, RejectsStaleVersionsAndUnknownTables) {
   EXPECT_EQ(server.Stats().delta.swaps, 1u);
 }
 
+TEST(StreamServerDelta, RuleMovingPatchIsRejectedAndServingContinues) {
+  // A patch whose match selects other keys than its entry's is a reseal,
+  // not a delta: SwapModelDelta throws before publishing, and the server
+  // decides every packet exactly as one that was never swapped.
+  const auto ds = tr::Generate(tr::PeerRushSpec(8, 50));
+  const auto offline = tr::ExtractSeqFeatures(ds.flows, EveryPacket());
+  const auto fx = BuildDeltaFixture(offline.x, offline.size());
+  const auto trace = tr::MergeTrace(ds.flows);
+  const std::size_t swap_at = trace.size() / 2;
+
+  // The first planned patch with its rule moved: one value bit flipped
+  // inside a ternary mask, or a range's upper bound moved by one key.
+  std::vector<dp::TablePatch> moving{{fx.patches.at(0).table,
+                                      {fx.patches.at(0).patches.at(0)}}};
+  dp::EntryPatch& patch = moving[0].patches[0];
+  const auto masked = std::find_if(
+      patch.ternary.begin(), patch.ternary.end(),
+      [](const dp::TernaryRule& r) { return r.mask != 0; });
+  if (masked != patch.ternary.end()) {
+    masked->value ^= masked->mask & (~masked->mask + 1);  // lowest mask bit
+  } else {
+    ASSERT_FALSE(patch.range_hi.empty());
+    std::uint64_t& hi = patch.range_hi[0];
+    hi = hi > patch.range_lo[0] ? hi - 1 : hi + 1;
+  }
+
+  for (const bool mt : {false, true}) {
+    rt::StreamServer never(Alias(*fx.v1.lowered), DeltaSwapOptions(2, mt));
+    auto want = ev::ServeTrace(never, trace).decisions;
+
+    rt::StreamServer server(Alias(*fx.v1.lowered), DeltaSwapOptions(2, mt));
+    if (mt) server.Start();
+    for (std::size_t i = 0; i < swap_at; ++i) server.Push(trace[i]);
+    EXPECT_THROW(server.SwapModelDelta(moving, 2), std::invalid_argument)
+        << "mt=" << mt;
+    EXPECT_EQ(server.active_version(), 1u);
+    for (std::size_t i = swap_at; i < trace.size(); ++i) {
+      server.Push(trace[i]);
+    }
+    if (mt) {
+      server.Stop();
+    } else {
+      server.Flush();
+    }
+    EXPECT_EQ(server.active_version(), 1u);
+    EXPECT_EQ(server.Stats().delta.swaps, 0u);
+    auto got = server.TakeDecisions();
+    SortDecisions(want);
+    SortDecisions(got);
+    ASSERT_EQ(got.size(), want.size()) << "mt=" << mt;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].flow, want[i].flow);
+      ASSERT_EQ(got[i].index, want[i].index);
+      ASSERT_EQ(got[i].predicted, want[i].predicted)
+          << "flow " << got[i].flow << " pkt " << got[i].index
+          << " (mt=" << mt << ")";
+      ASSERT_EQ(got[i].score, want[i].score);
+      ASSERT_EQ(got[i].version, 1u);
+    }
+  }
+}
+
 TEST(StreamServerDelta, PublishFailureRollsBackAndRetries) {
   const auto ds = tr::Generate(tr::PeerRushSpec(8, 49));
   const auto offline = tr::ExtractSeqFeatures(ds.flows, EveryPacket());
