@@ -1,10 +1,13 @@
 // Micro-benchmarks (google-benchmark) of the primitive building blocks:
 // clustering-tree lookup, TCAM table match, CRC ternary expansion, a full
-// per-packet pipeline pass, and per-call vs batched inference over a
-// lowered model. These bound the *simulator's* throughput (Figure 9d
-// reports the line-rate model for the real switch).
+// per-packet pipeline pass, per-call vs batched inference over a lowered
+// model, and one batch through each of the paper's lowered pipelines.
+// These bound the *simulator's* throughput (Figure 9d reports the
+// line-rate model for the real switch).
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <chrono>
 #include <memory>
 #include <random>
 
@@ -14,6 +17,13 @@
 #include "dataplane/crc.hpp"
 #include "dataplane/pipeline.hpp"
 #include "dataplane/table.hpp"
+#include "eval/experiment.hpp"
+#include "models/autoencoder.hpp"
+#include "models/cnn_b.hpp"
+#include "models/cnn_l.hpp"
+#include "models/cnn_m.hpp"
+#include "models/mlp_b.hpp"
+#include "models/rnn_b.hpp"
 #include "runtime/inference_engine.hpp"
 
 namespace {
@@ -431,6 +441,157 @@ void BM_InferenceEngineBatched(benchmark::State& state) {
       static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_InferenceEngineBatched)->Arg(16)->Arg(64)->Arg(256);
+
+// ---------------------------------------------------------------------------
+// One 64-row batch through each of the paper's pipelines: the §6.3 models
+// lowered as bench_table6 lowers them, after test_integration's short
+// training (MLP-B: test_models' 6 epochs) — table shapes, not accuracy,
+// are the point. The counters say how many tables serve from class tables
+// (the rest serve by aggregated bit vectors).
+// ---------------------------------------------------------------------------
+
+enum PaperModel {
+  kMlpB,
+  kRnnB,
+  kCnnB,
+  kCnnM,
+  kCnnLExtractor,
+  kCnnLClassifier,
+  kAutoencoder,
+  kNumPaperModels
+};
+
+struct PaperPipeline {
+  runtime::LoweredModel lowered;
+  std::vector<float> rows;  // kPaperBatch rows of lowered.InputDim()
+};
+
+constexpr std::size_t kPaperBatch = 64;
+
+/// Lowers `cm` as bench_table6 does; the batch cycles through `x`'s rows,
+/// or, with no `x`, draws every feature across and past the input domain
+/// (as test_integration feeds the CNN-L window classifier).
+std::unique_ptr<PaperPipeline> LowerPaperPipeline(
+    const core::CompiledModel& cm, std::size_t stateful_bits,
+    std::span<const float> x) {
+  runtime::LoweringOptions opts;
+  opts.stateful_bits_per_flow = stateful_bits;
+  auto p = std::make_unique<PaperPipeline>(
+      PaperPipeline{compiler::PlaceOnSwitch(cm, opts), {}});
+  const std::size_t dim = p->lowered.InputDim();
+  if (x.empty()) {
+    std::mt19937 rng(5);
+    std::uniform_int_distribution<int> value(-8, 263);
+    p->rows.resize(kPaperBatch * dim);
+    for (float& v : p->rows) v = static_cast<float>(value(rng));
+    return p;
+  }
+  const std::size_t have = x.size() / dim;
+  for (std::size_t i = 0; i < kPaperBatch; ++i) {
+    const auto row = x.subspan((i % have) * dim, dim);
+    p->rows.insert(p->rows.end(), row.begin(), row.end());
+  }
+  return p;
+}
+
+std::unique_ptr<PaperPipeline> BuildPaperPipeline(PaperModel which) {
+  namespace md = models;
+  if (which == kCnnLExtractor || which == kCnnLClassifier) {
+    static const eval::PreparedDataset raw = eval::Prepare(
+        traffic::CiciotSpec(12, 23), /*with_raw_bytes=*/true);
+    md::CnnLConfig cfg;
+    cfg.epochs = 1;
+    const auto m = md::CnnL::Train(raw.raw.train.x, raw.seq.train.x,
+                                   raw.raw.train.labels, raw.raw.train.size(),
+                                   raw.num_classes, cfg);
+    if (which == kCnnLExtractor) {
+      return LowerPaperPipeline(m->CompiledExtractor(),
+                                m->FlowState().BitsPerFlow(),
+                                raw.raw.test.x);
+    }
+    // The window classifier reads stored (feature, IPD) tuples.
+    return LowerPaperPipeline(m->CompiledClassifier(), 0, {});
+  }
+  static const eval::PreparedDataset prep =
+      eval::Prepare(traffic::CiciotSpec(30, 23), /*with_raw_bytes=*/false);
+  const auto& seq = prep.seq.train;
+  const std::size_t nc = prep.num_classes;
+  std::unique_ptr<md::TrainedModel> m;
+  switch (which) {
+    case kMlpB: {
+      md::MlpBConfig cfg;
+      cfg.epochs = 6;
+      const auto& stat = prep.stat.train;
+      m = md::MlpB::Train(stat.x, stat.labels, stat.size(), stat.dim, nc,
+                          cfg);
+      return LowerPaperPipeline(m->Compiled(), m->FlowState().BitsPerFlow(),
+                                prep.stat.test.x);
+    }
+    case kRnnB: {
+      md::RnnBConfig cfg;
+      cfg.epochs = 8;
+      m = md::RnnB::Train(seq.x, seq.labels, seq.size(), seq.dim, nc, cfg);
+      break;
+    }
+    case kCnnB: {
+      md::CnnBConfig cfg;
+      cfg.epochs = 4;
+      m = md::CnnB::Train(seq.x, seq.labels, seq.size(), seq.dim, nc, cfg);
+      break;
+    }
+    case kCnnM: {
+      md::CnnMConfig cfg;
+      cfg.epochs = 8;
+      m = md::CnnM::Train(seq.x, seq.labels, seq.size(), seq.dim, nc, cfg);
+      break;
+    }
+    default: {  // kAutoencoder; both CNN-L pipelines returned above
+      md::AutoencoderConfig cfg;
+      cfg.epochs = 10;
+      m = md::Autoencoder::Train(seq.x, seq.size(), seq.dim, cfg);
+      break;
+    }
+  }
+  return LowerPaperPipeline(m->Compiled(), m->FlowState().BitsPerFlow(),
+                            prep.seq.test.x);
+}
+
+/// Each pipeline is trained and lowered once per process, on first use.
+const PaperPipeline& GetPaperPipeline(PaperModel which) {
+  static std::array<std::unique_ptr<PaperPipeline>, kNumPaperModels> built;
+  if (!built[which]) built[which] = BuildPaperPipeline(which);
+  return *built[which];
+}
+
+void BM_PaperPipelineInferBatch(benchmark::State& state, PaperModel which) {
+  const PaperPipeline& p = GetPaperPipeline(which);
+  runtime::InferenceEngine engine(p.lowered, kPaperBatch);
+  std::vector<std::int64_t> out(kPaperBatch * engine.output_dim());
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    engine.InferRaw(p.rows, kPaperBatch, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  state.counters["ns_per_row"] =
+      elapsed.count() /
+      (static_cast<double>(state.iterations()) * kPaperBatch);
+  const auto report = p.lowered.pipeline().MatchIndexReport();
+  state.counters["tables"] = static_cast<double>(report.indexed_tables);
+  state.counters["classified_tables"] =
+      static_cast<double>(report.classified_tables);
+}
+BENCHMARK_CAPTURE(BM_PaperPipelineInferBatch, mlp_b, kMlpB);
+BENCHMARK_CAPTURE(BM_PaperPipelineInferBatch, rnn_b, kRnnB);
+BENCHMARK_CAPTURE(BM_PaperPipelineInferBatch, cnn_b, kCnnB);
+BENCHMARK_CAPTURE(BM_PaperPipelineInferBatch, cnn_m, kCnnM);
+BENCHMARK_CAPTURE(BM_PaperPipelineInferBatch, cnn_l_extractor,
+                  kCnnLExtractor);
+BENCHMARK_CAPTURE(BM_PaperPipelineInferBatch, cnn_l_classifier,
+                  kCnnLClassifier);
+BENCHMARK_CAPTURE(BM_PaperPipelineInferBatch, autoencoder, kAutoencoder);
 
 }  // namespace
 

@@ -575,30 +575,8 @@ void MatchIndex::ApplyDelta(std::span<const EntryPatch> patches) {
           .count());
 }
 
-std::int32_t MatchIndex::FindBest(const std::uint64_t* keys) const {
-  if (!dims_.empty()) {
-    const std::uint16_t* cells = cells_.data();
-    std::uint32_t cls[2 * kMaxClassDims];
-    std::size_t n = 0;
-    for (const ClassDim& d : dims_) {
-      const std::uint64_t key = keys[d.field];
-      const std::size_t i =
-          d.range == kNoRange
-              ? static_cast<std::size_t>(
-                    std::min((key >> d.shift) & d.mask, d.limit))
-              : IntervalOf(ranges_[d.range].starts, key);
-      cls[n++] = cells[d.cells + i];
-    }
-    for (const CrossProduct& x : products_) {
-      cls[n++] = cells[x.cells + cls[x.a] * x.classes_b + cls[x.b]];
-    }
-    const std::uint32_t pos = cls[n - 1];
-    return pos == kMissCell ? kMiss : static_cast<std::int32_t>(pos);
-  }
-  return FindByVectors(keys);
-}
-
-std::int32_t MatchIndex::FindByVectors(const std::uint64_t* keys) const {
+template <class KeyOf>
+std::int32_t MatchIndex::FindByVectors(KeyOf key_of) const {
   if (num_entries_ == 0) return kMiss;
   const std::size_t num_rows = chunks_.size() + ranges_.size();
   // No chunk and no range field: every rule is a catch-all, so the first
@@ -610,12 +588,12 @@ std::int32_t MatchIndex::FindByVectors(const std::uint64_t* keys) const {
   std::size_t r = 0;
   for (const NibbleChunk& c : chunks_) {
     rows[r++] = c.plane_row +
-                static_cast<std::uint32_t>((keys[c.field] >> c.shift) & 0xf);
+                static_cast<std::uint32_t>((key_of(c.field) >> c.shift) & 0xf);
   }
   for (const RangeField& rf : ranges_) {
     rows[r++] = rf.plane_row +
                 static_cast<std::uint32_t>(IntervalOf(rf.starts,
-                                                      keys[rf.field]));
+                                                      key_of(rf.field)));
   }
   const std::uint64_t* plane = plane_.data();
   const std::uint64_t* agg = agg_.data();
@@ -641,6 +619,75 @@ std::int32_t MatchIndex::FindByVectors(const std::uint64_t* keys) const {
     }
   }
   return kMiss;
+}
+
+template <std::size_t kRows, class KeyOf>
+void MatchIndex::Walk(std::size_t n, KeyOf key_of, std::int32_t* out) const {
+  if (dims_.empty()) {
+    for (std::size_t p = 0; p < n; ++p) {
+      out[p] = FindByVectors([&](std::uint32_t i) { return key_of(p, i); });
+    }
+    return;
+  }
+  // One class column per node: dimensions first, then cross products in
+  // build order, so the root's column is the last one written.
+  std::uint16_t cls[2 * kMaxClassDims][kRows];
+  const std::uint16_t* cells = cells_.data();
+  for (std::size_t first = 0; first < n; first += kRows) {
+    const std::size_t m = std::min(kRows, n - first);
+    const auto key = [&](std::size_t p, std::uint32_t i) {
+      return key_of(first + p, i);
+    };
+    std::size_t node = 0;
+    for (const ClassDim& d : dims_) {
+      const std::uint16_t* table = cells + d.cells;
+      std::uint16_t* col = cls[node++];
+      if (d.range == kNoRange) {
+        for (std::size_t p = 0; p < m; ++p) {
+          col[p] = table[std::min((key(p, d.field) >> d.shift) & d.mask,
+                                  d.limit)];
+        }
+      } else {
+        const std::vector<std::uint64_t>& starts = ranges_[d.range].starts;
+        for (std::size_t p = 0; p < m; ++p) {
+          col[p] = table[IntervalOf(starts, key(p, d.field))];
+        }
+      }
+    }
+    for (const CrossProduct& x : products_) {
+      const std::uint16_t* table = cells + x.cells;
+      const std::uint16_t* a = cls[x.a];
+      const std::uint16_t* b = cls[x.b];
+      std::uint16_t* col = cls[node++];
+      for (std::size_t p = 0; p < m; ++p) {
+        col[p] = table[a[p] * x.classes_b + b[p]];
+      }
+    }
+    const std::uint16_t* root = cls[node - 1];
+    for (std::size_t p = 0; p < m; ++p) {
+      out[first + p] = root[p] == kMissCell ? kMiss : root[p];
+    }
+  }
+}
+
+std::int32_t MatchIndex::FindBest(const std::uint64_t* keys) const {
+  std::int32_t pos = kMiss;
+  Walk<1>(1, [keys](std::size_t, std::uint32_t i) { return keys[i]; }, &pos);
+  return pos;
+}
+
+void MatchIndex::FindBatch(const std::int32_t* const* rows, std::size_t n,
+                           const FieldId* key_fields,
+                           std::int32_t* out) const {
+  const auto key_of = [rows, key_fields](std::size_t p, std::uint32_t i) {
+    return static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(rows[p][key_fields[i]]));
+  };
+  if (n == 1) {
+    Walk<1>(n, key_of, out);
+  } else {
+    Walk<kBatchRows>(n, key_of, out);
+  }
 }
 
 }  // namespace pegasus::dataplane

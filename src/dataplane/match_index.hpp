@@ -22,7 +22,12 @@
 // Lookup cost: one load per dimension (after a shift and mask, a clamp, or
 // for a wide range field a branch-free binary search) plus one per cross
 // product, with no bitset AND and no data-dependent loop. A table keyed on
-// two fields of up to 12 bits answers in three loads.
+// two fields of up to 12 bits answers in three loads. A batch walks the
+// nodes in chunks of up to kBatchRows rows, and each node is one pass over
+// the chunk: a dimension reads every row's key field straight off its PHV
+// words into a 16-bit class column, a cross product combines two earlier
+// columns, and the last column holds the sorted positions. Every load in a
+// pass is independent of the others in it. One row is a chunk of one.
 //
 // Budget: class tables are built only when the index has fewer than 65,535
 // entries (every position and the miss sentinel fit a cell), at most 16
@@ -77,6 +82,7 @@
 #include <vector>
 
 #include "dataplane/crc.hpp"
+#include "dataplane/phv.hpp"
 
 namespace pegasus::dataplane {
 
@@ -114,8 +120,10 @@ struct MatchIndexStats {
 /// index serves either a ternary or a range table.
 class MatchIndex {
  public:
-  /// Sentinel returned by FindBest on miss.
+  /// Sentinel returned by FindBest and FindBatch on miss.
   static constexpr std::int32_t kMiss = -1;
+  /// Rows a batch lookup walks at once; longer batches run in chunks.
+  static constexpr std::size_t kBatchRows = 64;
 
   /// Compiles the index. `kind_is_ternary` selects the nibble-chunk
   /// decomposition; otherwise entries' range_lo/range_hi are used. Field
@@ -128,6 +136,13 @@ class MatchIndex {
   /// insertion wins ties), as a *sorted position*; kMiss when no entry
   /// matches. `keys[i]` is the value of key field i.
   std::int32_t FindBest(const std::uint64_t* keys) const;
+
+  /// FindBest for `n` PHV rows at once: out[p] is the sorted position (or
+  /// kMiss) of the row whose key field i is rows[p][key_fields[i]], read as
+  /// FindBest's key static_cast<uint64_t>(int64_t(value)), so a negative
+  /// value is a key near 2^64. The caller checks every row is wide enough.
+  void FindBatch(const std::int32_t* const* rows, std::size_t n,
+                 const FieldId* key_fields, std::int32_t* out) const;
 
   /// Original entry index of sorted position `pos`.
   std::size_t EntryIndex(std::int32_t pos) const {
@@ -220,8 +235,16 @@ class MatchIndex {
   /// Compiles the planes into class tables when they fit the budget;
   /// otherwise leaves them empty and the index serves by ABV.
   void BuildClassTables();
-  /// FindBest by aggregated bit vectors: the path without class tables.
-  std::int32_t FindByVectors(const std::uint64_t* keys) const;
+  /// The one lookup walk behind FindBest and FindBatch: out[p] for rows
+  /// p < n, where key_of(p, i) is row p's key field i as a 64-bit key, in
+  /// chunks of kRows rows. A lone row walks with kRows = 1, so its passes
+  /// compile to straight-line loads.
+  template <std::size_t kRows, class KeyOf>
+  void Walk(std::size_t n, KeyOf key_of, std::int32_t* out) const;
+  /// One row by aggregated bit vectors, the path without class tables;
+  /// key_of(i) is the row's key field i.
+  template <class KeyOf>
+  std::int32_t FindByVectors(KeyOf key_of) const;
   /// Appends `count` all-zero plane rows; returns the first new row.
   std::uint32_t AddRows(std::size_t count);
   /// Rebuilds the arena from `words_of(pos)` for every position, storing

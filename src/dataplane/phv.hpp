@@ -80,6 +80,7 @@ class Phv {
   /// compiled action runs of MatchActionTable, the InferenceEngine's
   /// parse-time image. Whatever it writes must stay inside the domain.
   std::span<std::int32_t> values() { return values_; }
+  std::span<const std::int32_t> values() const { return values_; }
 
   /// Returns the PHV to its parse-time state (all fields zero) so a
   /// preallocated PHV can be reused across packets.

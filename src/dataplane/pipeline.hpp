@@ -68,9 +68,10 @@ class Pipeline {
 
   /// Sum of the placed tables' generation counters — a cheap version stamp
   /// of the whole dataplane program. A long-lived reader (InferenceEngine)
-  /// snapshots it at construction and asserts it unchanged in debug builds:
-  /// a delta or miss-program change on a placed table moves the stamp, so
-  /// an engine that would serve a stale view fails loudly instead.
+  /// snapshots it at construction and checks it unchanged before every
+  /// chunk, in every build: a delta or miss-program change on a placed
+  /// table moves the stamp, so an engine that would serve a stale view
+  /// throws std::logic_error instead.
   std::uint64_t Generation() const;
 
   /// Aggregate match-index build stats across all placed tables.

@@ -7,8 +7,9 @@ namespace pegasus::dataplane {
 
 namespace {
 
-// Key-gather scratch: tables keep at most a few dozen key fields; wider
-// keys (flattened CNN windows) spill to a thread-local buffer.
+// The unsealed scan's key scratch: tables keep at most a few dozen key
+// fields; wider keys (flattened CNN windows) spill to a thread-local
+// buffer.
 constexpr std::size_t kStackKeyFields = 32;
 
 inline std::uint64_t* KeyBuffer(std::size_t nk, std::uint64_t* stack_buf) {
@@ -217,27 +218,30 @@ std::optional<std::size_t> MatchActionTable::LinearLookup(
   return best;
 }
 
-std::int32_t MatchActionTable::IndexedFind(const Phv& phv) const {
-  const std::size_t nk = key_fields_.size();
-  std::uint64_t stack_key[kStackKeyFields];
-  std::uint64_t* key = KeyBuffer(nk, stack_key);
-  for (std::size_t i = 0; i < nk; ++i) {
-    key[i] = static_cast<std::uint64_t>(phv.Get(key_fields_[i]));
+std::int32_t MatchActionTable::FindRow(const Phv& phv) const {
+  const std::span<const std::int32_t> fields = phv.values();
+  if (fields.size() < key_fields_needed_) {
+    throw std::out_of_range(name_ + ": key field");
   }
-  return index_->FindBest(key);
+  const std::int32_t* row = fields.data();
+  std::int32_t pos = MatchIndex::kMiss;
+  index_->FindBatch(&row, 1, key_fields_.data(), &pos);
+  return pos;
 }
 
 std::optional<std::size_t> MatchActionTable::Lookup(const Phv& phv) const {
+  if (index_) {
+    const std::int32_t pos = FindRow(phv);
+    if (pos == MatchIndex::kMiss) return std::nullopt;
+    return index_->EntryIndex(pos);
+  }
   const std::size_t nk = key_fields_.size();
   std::uint64_t stack_key[kStackKeyFields];
   std::uint64_t* key = KeyBuffer(nk, stack_key);
   for (std::size_t i = 0; i < nk; ++i) {
     key[i] = static_cast<std::uint64_t>(phv.Get(key_fields_[i]));
   }
-  if (!index_) return LinearLookup(key);
-  const std::int32_t pos = index_->FindBest(key);
-  if (pos == MatchIndex::kMiss) return std::nullopt;
-  return index_->EntryIndex(pos);
+  return LinearLookup(key);
 }
 
 MatchActionTable::ActionRuns MatchActionTable::ActionRuns::Compile(
@@ -325,7 +329,7 @@ void MatchActionTable::RunProgram(Phv& phv, const ActionRuns& program,
 
 bool MatchActionTable::Apply(Phv& phv) const {
   if (index_) {
-    const std::int32_t pos = IndexedFind(phv);
+    const std::int32_t pos = FindRow(phv);
     if (pos != MatchIndex::kMiss) {
       RunProgram(phv, hit_program_, index_->ActionData(pos));
       return true;
@@ -347,13 +351,8 @@ std::size_t MatchActionTable::ApplyBatch(std::span<Phv> batch) const {
     for (Phv& phv : batch) hits += Apply(phv) ? 1 : 0;
     return hits;
   }
-  const std::size_t nk = key_fields_.size();
-  const std::size_t n = batch.size();
-  // Reused scratch: no allocation on the steady-state hot path.
-  static thread_local std::vector<std::uint64_t> keys;
-  keys.resize(n * nk);
   // Every bound is checked once per batch, before any write: the data the
-  // programs read here, each PHV's width as its key is gathered. The
+  // programs read here, then each PHV's width as its row is collected. The
   // lookups and action runs below index unchecked.
   if (hit_program_.words_needed > index_->MinActionWords() ||
       miss_program_.words_needed > miss_data_.size()) {
@@ -362,27 +361,32 @@ std::size_t MatchActionTable::ApplyBatch(std::span<Phv> batch) const {
   const std::size_t fields_needed =
       std::max({key_fields_needed_, hit_program_.fields_needed,
                 miss_program_.fields_needed});
-  for (std::size_t p = 0; p < n; ++p) {
-    const std::span<const std::int32_t> fields = batch[p].values();
+  // Reused scratch: no allocation on the steady-state hot path.
+  static thread_local std::vector<std::int32_t*> rows;
+  rows.resize(batch.size());
+  for (std::size_t p = 0; p < batch.size(); ++p) {
+    const std::span<std::int32_t> fields = batch[p].values();
     if (fields.size() < fields_needed) {
       throw std::out_of_range(name_ + ": action target or key field");
     }
-    for (std::size_t i = 0; i < nk; ++i) {
-      keys[p * nk + i] = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(fields[key_fields_[i]]));
-    }
+    rows[p] = fields.data();
   }
-  // One index probe per packet; the index is already entry-order-free
-  // (priority is encoded in sorted position).
+  // Per chunk, one index walk, then each row's hit or miss run in order.
   std::size_t hits = 0;
-  for (std::size_t p = 0; p < n; ++p) {
-    std::int32_t* fields = batch[p].values().data();
-    const std::int32_t pos = index_->FindBest(keys.data() + p * nk);
-    if (pos != MatchIndex::kMiss) {
-      hit_program_.Execute(fields, index_->ActionData(pos).data());
-      ++hits;
-    } else {
-      miss_program_.Execute(fields, miss_data_.data());
+  std::int32_t pos[MatchIndex::kBatchRows];
+  for (std::size_t first = 0; first < rows.size();
+       first += MatchIndex::kBatchRows) {
+    const std::size_t m =
+        std::min(MatchIndex::kBatchRows, rows.size() - first);
+    index_->FindBatch(rows.data() + first, m, key_fields_.data(), pos);
+    for (std::size_t p = 0; p < m; ++p) {
+      std::int32_t* fields = rows[first + p];
+      if (pos[p] != MatchIndex::kMiss) {
+        hit_program_.Execute(fields, index_->ActionData(pos[p]).data());
+        ++hits;
+      } else {
+        miss_program_.Execute(fields, miss_data_.data());
+      }
     }
   }
   return hits;

@@ -164,14 +164,16 @@ class MatchActionTable {
   bool Apply(Phv& phv) const;
 
   /// Batch counterpart of Apply with identical per-packet results. Sealed,
-  /// it gathers every packet's key once, then probes the MatchIndex once
-  /// per packet; actions run after the lookups, exactly the lookup-then-act
-  /// order of Apply, as the compiled runs' straight int32 loops over each
-  /// PHV's contiguous fields. The bounds are checked once per batch, before
-  /// any write: every PHV against the highest key and target field, the
-  /// index's shortest action slice and the miss data against the programs'
-  /// highest data index (std::out_of_range, as Apply). Unsealed, it calls
-  /// Apply on each packet in turn. Returns the number of hits.
+  /// it checks the bounds once per batch, before any write: the index's
+  /// shortest action slice and the miss data against the programs' highest
+  /// data index, then every PHV against the highest key and target field
+  /// (std::out_of_range, as Apply). Then, per chunk of up to
+  /// MatchIndex::kBatchRows PHVs, one MatchIndex::FindBatch walk reads the
+  /// keys straight off the PHVs' int32 words, and each PHV's hit (or miss)
+  /// program runs in order, as the compiled runs' straight int32 loops
+  /// over its contiguous fields: Apply's lookup-then-act order per packet.
+  /// Unsealed, it calls Apply on each packet in turn. Returns the number
+  /// of hits.
   std::size_t ApplyBatch(std::span<Phv> batch) const;
 
   /// Index of the matching entry, if any (for tests/debugging).
@@ -225,9 +227,10 @@ class MatchActionTable {
   /// The unsealed table's linear scan over its entries: the reference the
   /// indexed path is property-tested against.
   std::optional<std::size_t> LinearLookup(const std::uint64_t* key) const;
-  /// Gathers the PHV key fields and consults the compiled index; the
-  /// returned value is a MatchIndex sorted position (kMiss on miss).
-  std::int32_t IndexedFind(const Phv& phv) const;
+  /// The sealed index's answer for one PHV, read off its fields by the
+  /// batch walk over one row: a MatchIndex sorted position (kMiss on
+  /// miss). Throws std::out_of_range when a key field lies past the PHV.
+  std::int32_t FindRow(const Phv& phv) const;
 
   std::string name_;
   MatchKind kind_;

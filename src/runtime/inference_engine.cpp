@@ -1,7 +1,6 @@
 #include "runtime/inference_engine.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -37,10 +36,12 @@ InferenceEngine::InferenceEngine(const LoweredModel& model,
 }
 
 void InferenceEngine::RunChunk(const float* rows, std::size_t n) {
-  // Stale-view guard: no placed table may have been patched since this
-  // engine snapshotted the pipeline.
-  assert(model_->pipeline().Generation() == pipeline_generation_ &&
-         "InferenceEngine: pipeline mutated under a live engine");
+  // Stale-view guard, in every build: no placed table may have been
+  // patched since this engine snapshotted the pipeline.
+  if (model_->pipeline().Generation() != pipeline_generation_) {
+    throw std::logic_error(
+        "InferenceEngine: pipeline mutated under a live engine");
+  }
   const auto& input_fields = model_->input_fields();
   const std::size_t in_dim = input_fields.size();
   // Lowering caps input_bits at 30, so every clamped input lies in the

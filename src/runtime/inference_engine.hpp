@@ -66,7 +66,9 @@ class InferenceEngine {
   /// Batched raw inference. `features` holds `n` rows of input_dim floats
   /// (row-major); `out_raw` must hold n * output_dim words. Batches larger
   /// than the capacity are processed in capacity-sized chunks. Throws
-  /// std::invalid_argument on size mismatches.
+  /// std::invalid_argument on size mismatches, and std::logic_error,
+  /// before writing any PHV, when a placed table changed since the engine
+  /// was built (its Pipeline::Generation() moved).
   void InferRaw(std::span<const float> features, std::size_t n,
                 std::span<std::int64_t> out_raw);
 
@@ -91,9 +93,9 @@ class InferenceEngine {
   /// Per-chunk raw outputs for the dequantizing Infer path.
   std::vector<std::int64_t> raw_scratch_;
   Stats stats_;
-  /// Pipeline::Generation() snapshot from construction; RunChunk asserts it
-  /// unchanged in debug builds (a placed table patched under a live
-  /// engine).
+  /// Pipeline::Generation() snapshot from construction; RunChunk checks it
+  /// unchanged in every build (a placed table patched under a live engine
+  /// throws), at one O(tables) Generation() per chunk.
   std::uint64_t pipeline_generation_ = 0;
 };
 

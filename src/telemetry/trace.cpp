@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <thread>
 
 namespace pegasus::telemetry {
 
@@ -46,16 +47,29 @@ void EventRing::Record(TraceEventKind kind, std::uint32_t shard,
   }
   const std::uint64_t claim = cursor_.fetch_add(1, std::memory_order_relaxed);
   Slot& s = slots_[claim & mask_];
-  // Invalidate first so a concurrent reader lapped by this write drops the
-  // slot instead of mixing old/new fields, then publish seq last.
-  s.seq.store(0, std::memory_order_relaxed);
-  s.ts_ns.store(ts_ns, std::memory_order_relaxed);
-  s.dur_ns.store(dur_ns, std::memory_order_relaxed);
-  s.arg_a.store(arg_a, std::memory_order_relaxed);
-  s.arg_b.store(arg_b, std::memory_order_relaxed);
+  // Take the slot: swap its published seq (or 0) for kBusy. The acquire
+  // orders this payload after the previous holder's; a slot another
+  // writer holds is waited out, and one already published by a newer
+  // claim keeps that event.
+  std::uint64_t seen = s.seq.load(std::memory_order_relaxed);
+  do {
+    while (seen == kBusy) {
+      std::this_thread::yield();
+      seen = s.seq.load(std::memory_order_relaxed);
+    }
+    if (seen > claim + 1) return;
+  } while (!s.seq.compare_exchange_weak(seen, kBusy,
+                                        std::memory_order_acquire,
+                                        std::memory_order_relaxed));
+  // Release stores: a reader whose acquire load sees one of them also sees
+  // kBusy (or a later seq) on its re-check, and drops the slot.
+  s.ts_ns.store(ts_ns, std::memory_order_release);
+  s.dur_ns.store(dur_ns, std::memory_order_release);
+  s.arg_a.store(arg_a, std::memory_order_release);
+  s.arg_b.store(arg_b, std::memory_order_release);
   s.kind_shard.store(
       (static_cast<std::uint64_t>(kind) << 32) | shard,
-      std::memory_order_relaxed);
+      std::memory_order_release);
   s.seq.store(claim + 1, std::memory_order_release);
 }
 
@@ -66,19 +80,22 @@ std::vector<TraceEvent> EventRing::Dump() const {
   for (std::size_t i = 0; i < capacity_; ++i) {
     const Slot& s = slots_[i];
     const std::uint64_t seq = s.seq.load(std::memory_order_acquire);
-    if (seq == 0) continue;
+    if (seq == 0 || seq == kBusy) continue;
+    // Acquire loads rather than an acquire fence before the re-check: they
+    // give the same order, and ThreadSanitizer models them (it does not
+    // model standalone fences).
     TraceEvent e;
     e.seq = seq;
-    e.ts_ns = s.ts_ns.load(std::memory_order_relaxed);
-    e.dur_ns = s.dur_ns.load(std::memory_order_relaxed);
-    e.arg_a = s.arg_a.load(std::memory_order_relaxed);
-    e.arg_b = s.arg_b.load(std::memory_order_relaxed);
-    const std::uint64_t ks = s.kind_shard.load(std::memory_order_relaxed);
+    e.ts_ns = s.ts_ns.load(std::memory_order_acquire);
+    e.dur_ns = s.dur_ns.load(std::memory_order_acquire);
+    e.arg_a = s.arg_a.load(std::memory_order_acquire);
+    e.arg_b = s.arg_b.load(std::memory_order_acquire);
+    const std::uint64_t ks = s.kind_shard.load(std::memory_order_acquire);
     e.shard = static_cast<std::uint32_t>(ks & 0xffffffffu);
     e.kind = static_cast<TraceEventKind>(ks >> 32);
-    // Re-check: a writer that lapped this slot mid-copy invalidated (or
-    // re-published) seq — drop the torn read.
-    if (s.seq.load(std::memory_order_acquire) != seq) continue;
+    // Re-check: a writer that took this slot mid-copy set kBusy before
+    // any payload store this copy could have seen — drop the torn read.
+    if (s.seq.load(std::memory_order_relaxed) != seq) continue;
     out.push_back(e);
   }
   return out;

@@ -1,22 +1,24 @@
-// Flight-recorder tracing (ISSUE 10 tentpole part 3): a fixed-size ring
-// of timestamped events that keeps the LAST `capacity` things that
-// happened — sampled packet spans plus every lifecycle event (swap
-// begin/publish/rollback, delta apply, shed, watchdog stall/clear).
-// Recording is lock-free and allocation-free; the ring can be dumped on
-// demand (or on stall) while writers keep going, and
-// tools/trace_to_chrome.py turns a dump into Chrome trace-event JSON
-// viewable in Perfetto.
+// Flight-recorder tracing: a fixed-size ring of timestamped events that
+// keeps the LAST `capacity` things that happened — sampled packet spans
+// plus every lifecycle event (swap begin/publish/rollback, delta apply,
+// shed, watchdog stall/clear). Recording is lock-free and
+// allocation-free; the ring can be dumped on demand (or on stall) while
+// writers keep going, and tools/trace_to_chrome.py turns a dump into
+// Chrome trace-event JSON viewable in Perfetto.
 //
 // Concurrency: most rings have one writer (the owning shard worker), but
 // the control ring takes events from the producer thread, ingest threads
 // and the watchdog at once — so Record() claims a slot with a fetch_add
-// cursor and every slot field is a relaxed atomic, with the slot's `seq`
-// written last (release). A reader validates seq before AND after copying
-// the payload and drops the slot if a writer lapped it mid-read. Under a
-// full wrap-race two writers can interleave payload stores in the same
-// slot; the seq re-check catches the common tear and a flight recorder
-// tolerates losing a lapped slot by design — it is a diagnostic buffer,
-// not an accounting structure (counters own exactness).
+// cursor, then takes the slot exclusively: it swaps the slot's published
+// `seq` for a busy marker (compare-exchange, acquire), stores the payload
+// (release) and publishes its own seq (release). Two writers a capacity
+// apart never write one slot at once; the older of them, when it finds
+// the newer already published, drops its event, so the ring keeps the
+// last `capacity` claims. A reader validates seq before AND after copying
+// the payload (acquire loads) and drops the slot if a writer took it
+// mid-read. A flight recorder tolerates losing such a slot by design — it
+// is a diagnostic buffer, not an accounting structure (counters own
+// exactness).
 #pragma once
 
 #include <atomic>
@@ -91,6 +93,8 @@ class EventRing {
     return cursor_.load(std::memory_order_relaxed);
   }
 
+  /// Records one event, or drops it when its slot already holds a newer
+  /// claim's (a writer lapped this one before it took the slot).
   void Record(TraceEventKind kind, std::uint32_t shard, std::uint64_t ts_ns,
               std::uint64_t dur_ns = 0, std::uint64_t arg_a = 0,
               std::uint64_t arg_b = 0);
@@ -103,8 +107,8 @@ class EventRing {
 
  private:
   struct Slot {
-    /// 0 = empty/in-flight; otherwise claim index + 1, stored with
-    /// release ordering after the payload.
+    /// 0 = empty, kBusy while a writer holds the slot; otherwise claim
+    /// index + 1, stored with release ordering after the payload.
     std::atomic<std::uint64_t> seq{0};
     std::atomic<std::uint64_t> ts_ns{0};
     std::atomic<std::uint64_t> dur_ns{0};
@@ -113,6 +117,8 @@ class EventRing {
     /// shard in the low 32 bits, kind in the high bits.
     std::atomic<std::uint64_t> kind_shard{0};
   };
+
+  static constexpr std::uint64_t kBusy = ~std::uint64_t{0};
 
   std::unique_ptr<Slot[]> slots_;
   std::size_t capacity_ = 0;

@@ -351,9 +351,19 @@ TEST(UpdatePlanner, EntryDeltaPatchesReproduceTargetBitForBit) {
   }
 
   auto patched = a.lowered->Clone();
+  // Two engines over the clone from before the delta: the clone's own,
+  // built lazily by InferRaw, and one standing apart from it.
+  const std::vector<float> probe{1.0f, 2.0f, 3.0f, 4.0f};
+  ASSERT_EQ(patched.InferRaw(probe), a.lowered->InferRaw(probe));
+  rt::InferenceEngine stale(patched);
   const std::size_t bytes = patched.ApplyDelta(patches);
   EXPECT_EQ(bytes, plan.total_bytes_to_push)
       << "planner costing must equal the dataplane's reported push bytes";
+  // The engine standing apart would serve v1's view of a v2 pipeline: it
+  // throws in every build. The clone's own InferRaw (below) matches v2,
+  // since ApplyDelta dropped its engine.
+  std::vector<std::int64_t> out(stale.output_dim());
+  EXPECT_THROW(stale.InferRaw(probe, 1, out), std::logic_error);
 
   std::mt19937_64 rng(7);
   std::uniform_real_distribution<float> dist(0.0f, 255.0f);

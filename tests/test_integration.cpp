@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <vector>
 
 #include "compiler/compiler.hpp"
 #include "eval/experiment.hpp"
@@ -13,6 +15,7 @@
 #include "models/cnn_l.hpp"
 #include "models/cnn_m.hpp"
 #include "models/rnn_b.hpp"
+#include "runtime/inference_engine.hpp"
 #include "runtime/lowering.hpp"
 #include "runtime/p4gen.hpp"
 
@@ -30,24 +33,45 @@ const ev::PreparedDataset& Data() {
 }
 
 /// InferRaw == EvaluateRaw on the first `count` rows of `x`, each
-/// lowered.InputDim() wide.
-void ExpectBitExact(const pegasus::core::CompiledModel& cm,
+/// lowered.InputDim() wide: one row at a time, then every row through one
+/// 64-row InferenceEngine in a single batched InferRaw call (80 rows or
+/// more cross a chunk boundary). Records how many of the pipeline's tables
+/// serve by aggregated bit vectors (ABV) as the test property
+/// `<name>_abv_tables`, "abv/tables".
+void ExpectBitExact(const char* name, const pegasus::core::CompiledModel& cm,
                     const rt::LoweredModel& lowered, std::span<const float> x,
                     std::size_t count) {
   const std::size_t dim = lowered.InputDim();
   ASSERT_GT(dim, 0u);
-  ASSERT_GT(x.size() / dim, 0u);
-  for (std::size_t i = 0; i < std::min(x.size() / dim, count); ++i) {
+  const std::size_t n = std::min(x.size() / dim, count);
+  ASSERT_GT(n, 0u);
+  std::vector<std::vector<std::int64_t>> want;
+  for (std::size_t i = 0; i < n; ++i) {
     const std::span<const float> row = x.subspan(i * dim, dim);
-    ASSERT_EQ(cm.EvaluateRaw(row), lowered.InferRaw(row)) << "sample " << i;
+    want.push_back(cm.EvaluateRaw(row));
+    ASSERT_EQ(want.back(), lowered.InferRaw(row)) << "sample " << i;
   }
+  rt::InferenceEngine engine(lowered, 64);
+  const std::size_t out_dim = engine.output_dim();
+  std::vector<std::int64_t> out(n * out_dim);
+  engine.InferRaw(x.first(n * dim), n, out);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const std::int64_t> got(out.data() + i * out_dim, out_dim);
+    ASSERT_EQ(want[i], std::vector<std::int64_t>(got.begin(), got.end()))
+        << "batched sample " << i;
+  }
+  const auto report = lowered.pipeline().MatchIndexReport();
+  ::testing::Test::RecordProperty(
+      std::string(name) + "_abv_tables",
+      std::to_string(report.indexed_tables - report.classified_tables) + "/" +
+          std::to_string(report.indexed_tables));
 }
 
-void ExpectBitExact(const pegasus::core::CompiledModel& cm,
+void ExpectBitExact(const char* name, const pegasus::core::CompiledModel& cm,
                     const rt::LoweredModel& lowered,
                     const tr::SampleSet& samples, std::size_t count) {
   ASSERT_EQ(samples.dim, lowered.InputDim());
-  ExpectBitExact(cm, lowered, samples.x, count);
+  ExpectBitExact(name, cm, lowered, samples.x, count);
 }
 
 }  // namespace
@@ -61,7 +85,7 @@ TEST(Integration, RnnBLowersBitExact) {
                            prep.num_classes, cfg);
   // The RNN's wide step tables exercise the range-match fallback.
   auto lowered = rt::Lower(m->Compiled(), {});
-  ExpectBitExact(m->Compiled(), lowered, prep.seq.test, 80);
+  ExpectBitExact("rnn_b", m->Compiled(), lowered, prep.seq.test, 80);
   const auto rep = lowered.Report();
   EXPECT_GT(rep.tcam_bits, 0u);
   // Chained steps need at least window-many stages.
@@ -76,7 +100,7 @@ TEST(Integration, CnnMLowersBitExactInOneStage) {
                            prep.seq.train.size(), prep.seq.train.dim,
                            prep.num_classes, cfg);
   auto lowered = rt::Lower(m->Compiled(), {});
-  ExpectBitExact(m->Compiled(), lowered, prep.seq.test, 80);
+  ExpectBitExact("cnn_m", m->Compiled(), lowered, prep.seq.test, 80);
   // Advanced fusion: independent per-segment Maps, all level-0.
   EXPECT_EQ(lowered.StagesUsed(), 1u);
 }
@@ -92,7 +116,7 @@ TEST(Integration, CnnBLowersBitExact) {
   rt::LoweringOptions opts;
   opts.stateful_bits_per_flow = m->FlowState().BitsPerFlow();
   const auto lowered = pegasus::compiler::PlaceOnSwitch(m->Compiled(), opts);
-  ExpectBitExact(m->Compiled(), lowered, prep.seq.test, 80);
+  ExpectBitExact("cnn_b", m->Compiled(), lowered, prep.seq.test, 80);
 }
 
 TEST(Integration, CnnLExtractorAndClassifierLowerBitExact) {
@@ -112,14 +136,15 @@ TEST(Integration, CnnLExtractorAndClassifierLowerBitExact) {
   const auto cls = pegasus::compiler::PlaceOnSwitch(m->CompiledClassifier());
   // The extractor reads one packet's bytes: every packet of a raw window
   // is a row.
-  ExpectBitExact(m->CompiledExtractor(), ext, prep.raw.test.x, 400);
+  ExpectBitExact("cnn_l_extractor", m->CompiledExtractor(), ext,
+                 prep.raw.test.x, 400);
   // The classifier reads the window's stored (feature, IPD) tuples: draw
   // them across and past the input domain.
   std::mt19937 rng(5);
   std::uniform_int_distribution<int> value(-8, 263);
   std::vector<float> rows(200 * cls.InputDim());
   for (float& v : rows) v = static_cast<float>(value(rng));
-  ExpectBitExact(m->CompiledClassifier(), cls, rows, 200);
+  ExpectBitExact("cnn_l_classifier", m->CompiledClassifier(), cls, rows, 200);
 }
 
 TEST(Integration, AutoencoderLowersBitExact) {
@@ -129,7 +154,7 @@ TEST(Integration, AutoencoderLowersBitExact) {
   auto m = md::Autoencoder::Train(prep.seq.train.x, prep.seq.train.size(),
                                   prep.seq.train.dim, cfg);
   auto lowered = rt::Lower(m->Compiled(), {});
-  ExpectBitExact(m->Compiled(), lowered, prep.seq.test, 80);
+  ExpectBitExact("autoencoder", m->Compiled(), lowered, prep.seq.test, 80);
   // The anomaly score leaves the pipeline as a single dequantizable field.
   const auto raw = lowered.InferRaw(std::span<const float>(
       prep.seq.test.x.data(), prep.seq.test.dim));

@@ -4,7 +4,8 @@
 // same PHV contents after Apply/ApplyBatch, with entries sharing
 // action-data slices — whether the index serves from class tables or by
 // aggregated bit vectors, plus the build/sealed lifecycle and the
-// action-word delta contract.
+// action-word delta contract. Each probe set runs one key at a time and
+// then as one ApplyBatch call spanning full batch chunks and a partial one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -89,6 +90,34 @@ void ExpectSameLookup(const TablePair& p, const std::vector<std::uint64_t>& key)
   ExpectSameFields(a, b);
 }
 
+using Keys = std::vector<std::vector<std::uint64_t>>;
+
+/// Every probe through one sealed ApplyBatch call: per PHV, every field
+/// must equal the linear table's Apply, and the hit count its hits. The
+/// probes span full MatchIndex::kBatchRows chunks and a partial one.
+void ExpectBatchMatchesLinear(const TablePair& p, const Keys& keys) {
+  ASSERT_GT(keys.size(), dp::MatchIndex::kBatchRows);
+  ASSERT_NE(keys.size() % dp::MatchIndex::kBatchRows, 0u);
+  std::vector<dp::Phv> batch;
+  for (const auto& key : keys) batch.push_back(KeyedPhv(p, key));
+  std::vector<dp::Phv> want = batch;
+  std::size_t hits = 0;
+  for (dp::Phv& phv : want) hits += p.linear->Apply(phv) ? 1 : 0;
+  EXPECT_EQ(p.indexed->ApplyBatch(std::span<dp::Phv>(batch)), hits);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    for (std::size_t f = 0; f < p.layout.NumFields(); ++f) {
+      ASSERT_EQ(batch[i].Get(f), want[i].Get(f))
+          << "PHV " << i << " field " << f;
+    }
+  }
+}
+
+/// ExpectSameLookup on each probe, then all of them as one batch.
+void ExpectSameDecisions(const TablePair& p, const Keys& keys) {
+  for (const auto& key : keys) ExpectSameLookup(p, key);
+  ExpectBatchMatchesLinear(p, keys);
+}
+
 /// A patched pair's sealed table must decide exactly like `fresh`, built
 /// from scratch over the patched entry list: the same winner as its sealed
 /// and its linear table, and the same fields after Apply. (Only sealed
@@ -164,8 +193,9 @@ TEST(MatchIndex, RandomTernaryTablesMatchLinearReference) {
       }
       const TablePair p = MakePair(dp::MatchKind::kTernary, widths, entries);
       ASSERT_NE(p.indexed->index_stats(), nullptr);
+      Keys probes;
       for (int probe = 0; probe < 300; ++probe) {
-        ExpectSameLookup(p, RandomKey(rng, widths, /*allow_overwide=*/true));
+        probes.push_back(RandomKey(rng, widths, /*allow_overwide=*/true));
       }
       // Probes seeded from entry values (guaranteed-hit-heavy).
       for (std::size_t e = 0; e < entries.size(); e += 3) {
@@ -174,8 +204,9 @@ TEST(MatchIndex, RandomTernaryTablesMatchLinearReference) {
           key.push_back(entries[e].ternary[i].value ^
                         (rng() % 3 == 0 ? 1ull : 0ull));
         }
-        ExpectSameLookup(p, key);
+        probes.push_back(key);
       }
+      ExpectSameDecisions(p, probes);
     }
   }
 }
@@ -205,8 +236,9 @@ TEST(MatchIndex, RandomRangeTablesMatchLinearReference) {
       }
       const TablePair p = MakePair(dp::MatchKind::kRange, widths, entries);
       ASSERT_NE(p.indexed->index_stats(), nullptr);
+      Keys probes;
       for (int probe = 0; probe < 300; ++probe) {
-        ExpectSameLookup(p, RandomKey(rng, widths, /*allow_overwide=*/false));
+        probes.push_back(RandomKey(rng, widths, /*allow_overwide=*/false));
       }
       // Boundary probes: lo-1, lo, hi, hi+1 of random entries.
       for (std::size_t e = 0; e < entries.size(); e += 2) {
@@ -221,9 +253,10 @@ TEST(MatchIndex, RandomRangeTablesMatchLinearReference) {
                                                  : hi + 1;
             key.push_back(v);
           }
-          ExpectSameLookup(p, key);
+          probes.push_back(key);
         }
       }
+      ExpectSameDecisions(p, probes);
     }
   }
 }
@@ -281,11 +314,16 @@ TEST(MatchIndex, RangeTopOfDomain64Bit) {
                        .action_data = {static_cast<std::int64_t>(i)}});
   }
   const TablePair p = MakePair(dp::MatchKind::kRange, {64}, entries);
-  for (const std::uint64_t v :
-       {0ull, 50ull, 51ull, 99ull, 100ull, 949ull, 950ull, ~0ull - 11,
-        ~0ull - 10, ~0ull - 1, ~0ull}) {
-    ExpectSameLookup(p, {v});
+  // Nine rounds of the eleven edge keys: 99 PHVs in one batch.
+  Keys probes;
+  for (int round = 0; round < 9; ++round) {
+    for (const std::uint64_t v :
+         {0ull, 50ull, 51ull, 99ull, 100ull, 949ull, 950ull, ~0ull - 11,
+          ~0ull - 10, ~0ull - 1, ~0ull}) {
+      probes.push_back({v});
+    }
   }
+  ExpectSameDecisions(p, probes);
 }
 
 TEST(MatchIndex, PriorityTiesResolveToEarliestEntry) {
@@ -363,6 +401,34 @@ TEST(MatchIndex, ApplyBatchBitIdenticalToSequentialApply) {
             << "packet " << i << " field " << f;
       }
     }
+  }
+}
+
+TEST(MatchIndex, ApplyBatchChecksEveryPhvBeforeAnyWrite) {
+  // 100 PHVs, the 70th narrower than the table's key and target fields:
+  // the width check runs over the whole batch before the first chunk's
+  // walk, so the throw leaves every PHV as it was.
+  std::vector<dp::TableEntry> entries(40);
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    entries[e].ternary = {dp::TernaryRule{e, 0x3ff}};
+    entries[e].action_data = {static_cast<std::int64_t>(e) + 1};
+  }
+  TablePair p = MakePair(dp::MatchKind::kTernary, {10}, entries);
+  p.indexed->SetMissProgram(
+      {{dp::ActionOp::Kind::kSetConst, p.out, 0, -5, -1}}, {});
+  dp::PhvLayout narrow_layout;
+  narrow_layout.AddField("k0", 10);
+  std::vector<dp::Phv> batch;
+  for (std::size_t i = 0; i < 100; ++i) {
+    batch.push_back(i == 69 ? dp::Phv(narrow_layout)
+                            : KeyedPhv(p, {i % 50}));
+  }
+  const std::vector<dp::Phv> before = batch;
+  EXPECT_THROW(p.indexed->ApplyBatch(std::span<dp::Phv>(batch)),
+               std::out_of_range);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(std::ranges::equal(batch[i].values(), before[i].values()))
+        << "PHV " << i;
   }
 }
 
@@ -1022,16 +1088,18 @@ std::size_t ClassCells(const TablePair& p) {
 void ExpectTernaryMatchesLinear(const TablePair& p, std::mt19937_64& rng,
                                 const std::vector<int>& widths,
                                 const std::vector<dp::TableEntry>& entries) {
+  Keys probes;
   for (int probe = 0; probe < 400; ++probe) {
-    ExpectSameLookup(p, RandomKey(rng, widths, /*allow_overwide=*/true));
+    probes.push_back(RandomKey(rng, widths, /*allow_overwide=*/true));
   }
   for (std::size_t e = 0; e < entries.size(); e += 3) {
     std::vector<std::uint64_t> key;
     for (const dp::TernaryRule& r : entries[e].ternary) {
       key.push_back(r.value ^ (rng() % 3 == 0 ? 1ull : 0ull));
     }
-    ExpectSameLookup(p, key);
+    probes.push_back(key);
   }
+  ExpectSameDecisions(p, probes);
 }
 
 }  // namespace
@@ -1070,13 +1138,15 @@ TEST(MatchIndexClasses, LoweredRangeTablesServeFromClassTables) {
     }
     const TablePair p = MakePair(dp::MatchKind::kRange, widths, entries);
     EXPECT_GT(ClassCells(p), 0u) << widths.size() << " fields";
+    Keys probes;
     for (int probe = 0; probe < 600; ++probe) {
-      ExpectSameLookup(p, RandomKey(rng, widths, /*allow_overwide=*/false));
+      probes.push_back(RandomKey(rng, widths, /*allow_overwide=*/false));
     }
     for (const dp::TableEntry& e : entries) {
-      ExpectSameLookup(p, e.range_lo);
-      ExpectSameLookup(p, e.range_hi);
+      probes.push_back(e.range_lo);
+      probes.push_back(e.range_hi);
     }
+    ExpectSameDecisions(p, probes);
   }
 }
 
@@ -1203,14 +1273,16 @@ TEST(MatchIndexClasses, RangeEdgesOnBothRangePaths) {
       const dp::MatchIndexStats& stats = *p.indexed->index_stats();
       EXPECT_EQ(stats.class_cells, last < 4096 ? last + 1 : stats.intervals)
           << "last " << last;
+      Keys probes;
       for (const std::uint64_t key :
            {std::uint64_t{0}, last - 1, last, last + 1, 2 * last,
             ~std::uint64_t{1}, ~std::uint64_t{0}}) {
-        ExpectSameLookup(p, {key});
+        probes.push_back({key});
       }
       for (int probe = 0; probe < 200; ++probe) {
-        ExpectSameLookup(p, {rng() % (last + 64)});
+        probes.push_back({rng() % (last + 64)});
       }
+      ExpectSameDecisions(p, probes);
     }
   }
 }

@@ -11,6 +11,7 @@
 #include "models/cnn_m.hpp"
 #include "models/mlp_b.hpp"
 #include "models/rnn_b.hpp"
+#include "runtime/inference_engine.hpp"
 #include "runtime/lowering.hpp"
 
 namespace ev = pegasus::eval;
@@ -72,9 +73,22 @@ TEST(Models, MlpBLowersAndMatchesSimulator) {
                                prep.num_classes, cfg);
   auto lowered = pegasus::runtime::Lower(model->Compiled(), {});
   const auto& test = prep.stat.test;
-  for (std::size_t i = 0; i < std::min<std::size_t>(test.size(), 64); ++i) {
+  const std::size_t n = std::min<std::size_t>(test.size(), 64);
+  for (std::size_t i = 0; i < n; ++i) {
     std::span<const float> row(test.x.data() + i * test.dim, test.dim);
     EXPECT_EQ(model->Compiled().EvaluateRaw(row), lowered.InferRaw(row));
+  }
+  // The same rows as one batch through a 64-row engine.
+  pegasus::runtime::InferenceEngine engine(lowered, 64);
+  const std::size_t out_dim = engine.output_dim();
+  std::vector<std::int64_t> out(n * out_dim);
+  engine.InferRaw(std::span<const float>(test.x).first(n * test.dim), n, out);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::span<const float> row(test.x.data() + i * test.dim, test.dim);
+    const std::span<const std::int64_t> got(out.data() + i * out_dim, out_dim);
+    EXPECT_EQ(model->Compiled().EvaluateRaw(row),
+              std::vector<std::int64_t>(got.begin(), got.end()))
+        << "batched row " << i;
   }
   const auto rep = lowered.Report();
   EXPECT_GT(rep.tcam_bits, 0u);

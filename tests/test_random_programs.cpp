@@ -4,7 +4,8 @@
 // that hold for EVERY Pegasus program:
 //
 //   1. FuseBasic never changes the reference semantics;
-//   2. the lowered pipeline is bit-identical to the host fuzzy evaluator;
+//   2. the lowered pipeline is bit-identical to the host fuzzy evaluator,
+//      one row at a time and as one batch;
 //   3. fuzzy outputs track the exact float outputs within a bound derived
 //      from the program's Lipschitz-ish structure (loose sanity bound);
 //   4. serialization round-trips the dataplane semantics.
@@ -16,6 +17,7 @@
 #include "core/fusion.hpp"
 #include "core/operators.hpp"
 #include "core/tablegen.hpp"
+#include "runtime/inference_engine.hpp"
 #include "runtime/lowering.hpp"
 
 namespace core = pegasus::core;
@@ -114,6 +116,19 @@ TEST_P(RandomPrograms, AllInvariantsHold) {
     }
   }
   EXPECT_LT(fuzzy_err, 4.0);
+  // (2) again, all probes as one batch through a 64-row engine.
+  rt::InferenceEngine engine(lowered, 64);
+  const std::size_t out_dim = engine.output_dim();
+  std::vector<std::int64_t> out(64 * out_dim);
+  engine.InferRaw(probes, 64, out);
+  for (int i = 0; i < 64; ++i) {
+    std::span<const float> row(probes.data() + i * in_dim, in_dim);
+    const std::span<const std::int64_t> got(
+        out.data() + static_cast<std::size_t>(i) * out_dim, out_dim);
+    ASSERT_EQ(cm.EvaluateRaw(row),
+              std::vector<std::int64_t>(got.begin(), got.end()))
+        << "batched probe " << i;
+  }
 
   // (4) serialization round-trip.
   std::stringstream buf;

@@ -16,6 +16,7 @@
 //    stall lifecycle events land in the trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <iterator>
@@ -239,19 +240,26 @@ TEST(EventRing, DisabledRingIsNoOp) {
 }
 
 TEST(EventRing, MultiWriterSurvivesContention) {
-  // 4 threads hammer one ring; the dump must only ever contain values the
-  // writers actually wrote (payload a == ts), in any interleaving. TSan
-  // covers the ordering; this covers the torn-read rejection.
-  tel::EventRing ring(64);
+  // 4 threads hammer a 4-slot ring, so writers a capacity apart meet in
+  // one slot all the time. Every field is a function of one value v, so
+  // a dump holding a mix of two writes shows up as a mismatch; the dump
+  // after the join holds exactly the last `capacity` claims.
+  tel::EventRing ring(4);
   constexpr int kWriters = 4;
   constexpr int kPerWriter = 5000;
+  const auto expect_whole = [](const tel::TraceEvent& e) {
+    const std::uint64_t v = e.ts_ns;
+    ASSERT_EQ(e.dur_ns, 3 * v);
+    ASSERT_EQ(e.arg_a, v);
+    ASSERT_EQ(e.arg_b, ~v);
+    ASSERT_EQ(e.shard, v / kPerWriter);
+    ASSERT_EQ(e.kind, tel::TraceEventKind::kPacketSpan);
+  };
   std::vector<std::thread> ts;
   std::atomic<bool> stop{false};
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      for (const auto& e : ring.Dump()) {
-        ASSERT_EQ(e.arg_a, e.ts_ns);
-      }
+      for (const auto& e : ring.Dump()) expect_whole(e);
     }
   });
   for (int w = 0; w < kWriters; ++w) {
@@ -260,18 +268,23 @@ TEST(EventRing, MultiWriterSurvivesContention) {
         const std::uint64_t v =
             static_cast<std::uint64_t>(w) * kPerWriter + i;
         ring.Record(tel::TraceEventKind::kPacketSpan,
-                    static_cast<std::uint32_t>(w), v, 0, v, 0);
+                    static_cast<std::uint32_t>(w), v, 3 * v, v, ~v);
       }
     });
   }
   for (auto& t : ts) t.join();
   stop.store(true, std::memory_order_release);
   reader.join();
-  EXPECT_EQ(ring.recorded(),
-            static_cast<std::uint64_t>(kWriters) * kPerWriter);
-  const auto dump = ring.Dump();
-  EXPECT_EQ(dump.size(), 64u);
-  for (const auto& e : dump) EXPECT_EQ(e.arg_a, e.ts_ns);
+  const std::uint64_t recorded = ring.recorded();
+  EXPECT_EQ(recorded, static_cast<std::uint64_t>(kWriters) * kPerWriter);
+  auto dump = ring.Dump();
+  ASSERT_EQ(dump.size(), ring.capacity());
+  std::sort(dump.begin(), dump.end(),
+            [](const auto& a, const auto& b) { return a.seq < b.seq; });
+  for (std::size_t i = 0; i < dump.size(); ++i) {
+    EXPECT_EQ(dump[i].seq, recorded - ring.capacity() + 1 + i);
+    expect_whole(dump[i]);
+  }
 }
 
 TEST(EventRing, TraceJsonShape) {
