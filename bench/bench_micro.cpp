@@ -10,6 +10,7 @@
 #include <chrono>
 #include <memory>
 #include <random>
+#include <span>
 
 #include "compiler/compiler.hpp"
 #include "core/fuzzy.hpp"
@@ -68,10 +69,10 @@ void BM_CrcExpansion(benchmark::State& state) {
 BENCHMARK(BM_CrcExpansion)->Arg(8)->Arg(10)->Arg(16);
 
 // Shared table builders for the indexed-vs-linear lookup families. The
-// sealed variants exercise the compiled bit-vector MatchIndex (the
-// production path — Pipeline::PlaceTable seals every table); the *Linear
-// variants keep the table unsealed to pin the pre-index scan cost in the
-// same BENCH_micro.json artifact.
+// sealed variants exercise the compiled MatchIndex (the production path —
+// Pipeline::PlaceTable seals every table); the *Linear variants keep the
+// table unsealed to pin the pre-index scan cost in the same
+// BENCH_micro.json artifact.
 
 dataplane::MatchActionTable BuildTernaryBenchTable(dataplane::PhvLayout& layout,
                                                    std::size_t entries,
@@ -332,7 +333,7 @@ void BM_MapTableClone(benchmark::State& state) {
 BENCHMARK(BM_MapTableClone);
 
 void BM_MatchIndexBuild(benchmark::State& state) {
-  // Seal-time cost of compiling the bit-vector index (the one-off price a
+  // Seal-time cost of compiling the match index (the one-off price a
   // table pays at placement for the indexed hot path), plus its footprint.
   const auto entries = static_cast<std::size_t>(state.range(0));
   std::vector<dataplane::TableEntry> list;
@@ -357,7 +358,7 @@ BENCHMARK(BM_MatchIndexBuild)->Arg(128)->Arg(1024)->Arg(4096);
 
 void BM_PipelineProcess(benchmark::State& state) {
   // A 4-stage pipeline of small full-mask ternary tables, roughly an MLP-B
-  // pass.
+  // pass, one PHV per ProcessBatch call.
   dataplane::Pipeline pipe;
   dataplane::PhvLayout layout;
   const auto key = layout.AddField("k", 8);
@@ -381,7 +382,7 @@ void BM_PipelineProcess(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     phv.Set(key, static_cast<std::int64_t>(i++ % 256));
-    benchmark::DoNotOptimize(pipe.Process(phv));
+    benchmark::DoNotOptimize(pipe.ProcessBatch(std::span(&phv, 1)));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -446,8 +447,8 @@ BENCHMARK(BM_InferenceEngineBatched)->Arg(16)->Arg(64)->Arg(256);
 // One 64-row batch through each of the paper's pipelines: the §6.3 models
 // lowered as bench_table6 lowers them, after test_integration's short
 // training (MLP-B: test_models' 6 epochs) — table shapes, not accuracy,
-// are the point. The counters say how many tables serve from class tables
-// (the rest serve by aggregated bit vectors).
+// are the point. The counters say how many tables end their class tables
+// in the bitset root (the rest in a position root), and the index bytes.
 // ---------------------------------------------------------------------------
 
 enum PaperModel {
@@ -580,8 +581,9 @@ void BM_PaperPipelineInferBatch(benchmark::State& state, PaperModel which) {
       (static_cast<double>(state.iterations()) * kPaperBatch);
   const auto report = p.lowered.pipeline().MatchIndexReport();
   state.counters["tables"] = static_cast<double>(report.indexed_tables);
-  state.counters["classified_tables"] =
-      static_cast<double>(report.classified_tables);
+  state.counters["bitset_root_tables"] =
+      static_cast<double>(report.bitset_root_tables);
+  state.counters["index_bytes"] = static_cast<double>(report.bytes);
 }
 BENCHMARK_CAPTURE(BM_PaperPipelineInferBatch, mlp_b, kMlpB);
 BENCHMARK_CAPTURE(BM_PaperPipelineInferBatch, rnn_b, kRnnB);

@@ -241,9 +241,9 @@ class LoweringPass final : public Pass {
       stats.note = "match index: " + std::to_string(index.intervals) +
                    " intervals, " + std::to_string(index.nibble_chunks) +
                    " nibble chunks, " +
-                   std::to_string(index.classified_tables) + "/" +
+                   std::to_string(index.bitset_root_tables) + "/" +
                    std::to_string(index.indexed_tables) +
-                   " tables on class tables";
+                   " tables on a bitset root";
     }
     ctx.SetLowered(std::move(lowered));
   }

@@ -50,7 +50,7 @@ struct PassStats {
   std::size_t tcam_bits = 0;
   std::size_t stages_used = 0;
   /// Compiled match-index build stats (lowering pass): tables that got a
-  /// bit-vector index, their aggregate footprint, and total build time.
+  /// match index, their summed footprint, and total build time.
   std::size_t indexed_tables = 0;
   std::size_t index_bytes = 0;
   double index_build_ms = 0.0;

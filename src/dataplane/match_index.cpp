@@ -39,15 +39,16 @@ std::size_t IntervalOf(const std::vector<std::uint64_t>& starts,
   return static_cast<std::size_t>(base - starts.data());
 }
 
-/// The class-table budget: dimensions, cells per table, and class bitset
-/// words held at once while building (32 MiB). Past any of them, or with
-/// a sorted position at or above the miss cell, the index serves by bit
-/// vectors.
-constexpr std::size_t kMaxClassDims = 16;
+/// The cross-product budget: cells per table, and class bitset words held
+/// at once while building (32 MiB). A pair past either carries up a level.
 constexpr std::size_t kMaxClassCells = std::size_t{1} << 16;
 constexpr std::size_t kMaxClassWords = std::size_t{1} << 22;
-/// The root table's cell for a miss.
+/// A position root's cell for a miss: an index with a sorted position at
+/// or past it (over 65,535 entries) takes the bitset root.
 constexpr std::uint16_t kMissCell = 0xffff;
+/// Class columns Walk keeps on the stack: enough for 16 dimensions and
+/// their cross products. An index with more nodes walks heap columns.
+constexpr std::size_t kStackNodes = 32;
 
 /// The distinct entry bitsets of one class-table node, each stored once;
 /// a class id is the bitset's index. Deduplicated through a flat
@@ -59,7 +60,8 @@ class ClassSet {
         mask_(std::bit_ceil(2 * max_classes + 1) - 1),
         slots_(mask_ + 1, 0) {}
 
-  /// The class id of `set` (words_ words), added if new.
+  /// The class id of `set` (words_ words), added if new. Throws
+  /// std::length_error past 2^16 classes.
   std::uint16_t Intern(const std::uint64_t* set) {
     std::size_t probe = HashWords(std::span(set, words_)) & mask_;
     while (slots_[probe] != 0) {
@@ -70,6 +72,9 @@ class ClassSet {
       probe = (probe + 1) & mask_;
     }
     const std::size_t id = classes();
+    if (id > 0xffff) {
+      throw std::length_error("MatchIndex: a node with over 2^16 classes");
+    }
     sets_.insert(sets_.end(), set, set + words_);
     slots_[probe] = static_cast<std::uint32_t>(id + 1);
     return static_cast<std::uint16_t>(id);
@@ -108,7 +113,6 @@ MatchIndex::MatchIndex(std::span<const TableEntry> entries,
   const auto start = std::chrono::steady_clock::now();
   num_entries_ = entries.size();
   words_ = (num_entries_ + 63) / 64;
-  agg_words_ = (words_ + 63) / 64;
 
   // TCAM physical order: higher priority first, insertion order on ties —
   // the winner of an AND'd bitset is then always the lowest set bit.
@@ -149,17 +153,6 @@ MatchIndex::MatchIndex(std::span<const TableEntry> entries,
   } else {
     BuildRange(entries);
   }
-  // Aggregates from the finished planes.
-  const std::size_t num_rows = words_ == 0 ? 0 : plane_.size() / words_;
-  agg_.assign(num_rows * agg_words_, 0);
-  for (std::size_t row = 0; row < num_rows; ++row) {
-    for (std::size_t w = 0; w < words_; ++w) {
-      if (plane_[row * words_ + w] != 0) {
-        agg_[row * agg_words_ + w / 64] |= 1ull << (w % 64);
-      }
-    }
-  }
-
   BuildClassTables();
 
   stats_.entries = num_entries_;
@@ -222,7 +215,6 @@ void MatchIndex::CompactArena() {
 }
 
 void MatchIndex::BuildClassTables() {
-  if (num_entries_ == 0 || num_entries_ >= kMissCell) return;
   // One node per dimension, then per cross product, in build order; a
   // node's sets die once a cross product has consumed them.
   struct Node {
@@ -232,14 +224,12 @@ void MatchIndex::BuildClassTables() {
   std::vector<Node> level;
   std::size_t held = 0;  // class bitset words alive across nodes
   std::vector<std::uint64_t> acc(words_);
-  bool fits = true;
   const auto row = [&](std::size_t r) { return plane_.data() + r * words_; };
   // Interns `count` cells, cell i's bitset filled into acc by fill(i).
   const auto add_cells = [&](ClassSet& set, std::size_t count, auto fill) {
-    for (std::size_t i = 0; fits && i < count; ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
       fill(i);
       cells_.push_back(set.Intern(acc.data()));
-      fits = held + set.held_words() <= kMaxClassWords;
     }
   };
   const auto add_dim = [&](const ClassDim& dim, ClassSet set) {
@@ -247,11 +237,10 @@ void MatchIndex::BuildClassTables() {
     level.push_back({static_cast<std::uint32_t>(dims_.size()),
                      std::move(set)});
     dims_.push_back(dim);
-    fits = fits && dims_.size() <= kMaxClassDims;
   };
 
   // Ternary windows: up to three consecutive nibble chunks of one field.
-  for (std::size_t c = 0; fits && c < chunks_.size();) {
+  for (std::size_t c = 0; c < chunks_.size();) {
     std::size_t end = c + 1;
     while (end < chunks_.size() && end - c < 3 &&
            chunks_[end].field == chunks_[c].field) {
@@ -298,13 +287,9 @@ void MatchIndex::BuildClassTables() {
 
   // Range fields: each elementary interval's row is a class; a field whose
   // last boundary is below 4096 is indexed by the clamped key instead.
-  for (std::size_t r = 0; fits && r < ranges_.size(); ++r) {
+  for (std::size_t r = 0; r < ranges_.size(); ++r) {
     const RangeField& rf = ranges_[r];
     const std::size_t intervals = rf.starts.size();
-    if (intervals > kMaxClassCells) {
-      fits = false;
-      break;
-    }
     ClassDim dim;
     dim.field = rf.field;
     dim.cells = static_cast<std::uint32_t>(cells_.size());
@@ -313,7 +298,6 @@ void MatchIndex::BuildClassTables() {
       std::copy(row(rf.plane_row + i), row(rf.plane_row + i + 1),
                 acc.begin());
     });
-    if (!fits) break;
     const std::uint64_t last = rf.starts.back();
     if (last < 4096) {
       std::vector<std::uint16_t> of_interval(cells_.begin() + dim.cells,
@@ -331,73 +315,90 @@ void MatchIndex::BuildClassTables() {
     add_dim(dim, std::move(set));
   }
 
-  // Cross products, pairwise and level by level, down to two nodes.
+  // Cross products, pairwise and level by level, down to two nodes. A pair
+  // past the cell or build budget carries both nodes up a level; a level
+  // that combines no pair ends the pairing.
   std::uint32_t next_id = static_cast<std::uint32_t>(dims_.size());
-  const auto add_product = [&](const Node& a, const Node& b) {
-    const std::size_t count = a.set.classes() * b.set.classes();
-    fits = fits && count <= kMaxClassCells;
-    if (fits) {
-      products_.push_back({a.id, b.id,
-                           static_cast<std::uint32_t>(b.set.classes()),
-                           static_cast<std::uint32_t>(cells_.size())});
-    }
-    return count;
-  };
-  while (fits && level.size() > 2) {
+  bool combined = true;
+  while (combined && level.size() > 2) {
+    combined = false;
     std::vector<Node> next;
-    for (std::size_t i = 0; fits && i + 1 < level.size(); i += 2) {
+    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
       const ClassSet& a = level[i].set;
       const ClassSet& b = level[i + 1].set;
-      const std::size_t count = add_product(level[i], level[i + 1]);
-      if (!fits) break;
-      ClassSet set(words_, count);
-      add_cells(set, count, [&](std::size_t cell) {
+      const std::size_t count = a.classes() * b.classes();
+      const std::size_t first = cells_.size();
+      bool fits = count <= kMaxClassCells;
+      ClassSet set(words_, fits ? count : 0);
+      for (std::size_t cell = 0; fits && cell < count; ++cell) {
         const std::uint64_t* sa = a.Set(cell / b.classes());
         const std::uint64_t* sb = b.Set(cell % b.classes());
         for (std::size_t w = 0; w < words_; ++w) acc[w] = sa[w] & sb[w];
-      });
+        cells_.push_back(set.Intern(acc.data()));
+        fits = held + set.held_words() <= kMaxClassWords;
+      }
+      if (!fits) {
+        cells_.resize(first);
+        next.push_back(std::move(level[i]));
+        next.push_back(std::move(level[i + 1]));
+        continue;
+      }
+      products_.push_back({level[i].id, level[i + 1].id,
+                           static_cast<std::uint32_t>(b.classes()),
+                           static_cast<std::uint32_t>(first)});
       held += set.held_words();
       next.push_back({next_id++, std::move(set)});
+      combined = true;
     }
     if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
     level = std::move(next);
     held = 0;
     for (const Node& node : level) held += node.set.held_words();
   }
-  // The root holds the winning sorted position instead of a class: the
-  // cross product of the last two nodes, or a lone dimension's table.
-  if (fits && level.size() == 2) {
+
+  // The position root: the cross product of the last two nodes, or a lone
+  // dimension's table, with each cell the winning sorted position.
+  position_root_ =
+      num_entries_ <= kMissCell &&
+      (level.size() == 1 ||
+       (level.size() == 2 &&
+        level[0].set.classes() * level[1].set.classes() <= kMaxClassCells));
+  if (position_root_ && level.size() == 2) {
     const ClassSet& a = level[0].set;
     const ClassSet& b = level[1].set;
-    add_product(level[0], level[1]);
-    for (std::size_t ca = 0; fits && ca < a.classes(); ++ca) {
+    products_.push_back({level[0].id, level[1].id,
+                         static_cast<std::uint32_t>(b.classes()),
+                         static_cast<std::uint32_t>(cells_.size())});
+    for (std::size_t ca = 0; ca < a.classes(); ++ca) {
       for (std::size_t cb = 0; cb < b.classes(); ++cb) {
         cells_.push_back(FirstCommon(a.Set(ca), b.Set(cb), words_));
       }
     }
-  } else if (fits && level.size() == 1) {
+  } else if (position_root_) {
     for (std::uint16_t& cell : cells_) {
       const std::uint64_t* set = level[0].set.Set(cell);
       cell = FirstCommon(set, set, words_);
     }
-  }
-  if (!fits) {
-    // Over budget: the bit vectors serve. Move-assigning frees the
-    // storage; assigning {} would keep it.
-    cells_ = std::vector<std::uint16_t>();
-    dims_ = std::vector<ClassDim>();
-    products_ = std::vector<CrossProduct>();
-    return;
+  } else {
+    // The bitset root keeps the remaining nodes' class sets.
+    for (const Node& node : level) {
+      root_.push_back({node.id, root_sets_.size()});
+      root_sets_.insert(root_sets_.end(), node.set.Set(0),
+                        node.set.Set(0) + node.set.held_words());
+    }
   }
   cells_.shrink_to_fit();
   stats_.class_cells = cells_.size();
+  stats_.root_nodes =
+      position_root_ ? MatchIndexStats::kPositionRoot : root_.size();
 }
 
 void MatchIndex::RefreshFootprint() {
-  stats_.bytes = (plane_.size() + agg_.size()) * sizeof(std::uint64_t) +
+  stats_.bytes = (plane_.size() + root_sets_.size()) * sizeof(std::uint64_t) +
                  cells_.size() * sizeof(std::uint16_t) +
                  dims_.size() * sizeof(ClassDim) +
                  products_.size() * sizeof(CrossProduct) +
+                 root_.size() * sizeof(RootNode) +
                  (order_.size() + pos_of_.size()) * sizeof(std::uint32_t) +
                  priorities_.size() * sizeof(PriorityRun) +
                  arena_.size() * sizeof(std::int32_t) +
@@ -575,98 +576,80 @@ void MatchIndex::ApplyDelta(std::span<const EntryPatch> patches) {
           .count());
 }
 
-template <class KeyOf>
-std::int32_t MatchIndex::FindByVectors(KeyOf key_of) const {
-  if (num_entries_ == 0) return kMiss;
-  const std::size_t num_rows = chunks_.size() + ranges_.size();
-  // No chunk and no range field: every rule is a catch-all, so the first
-  // sorted position wins.
-  if (num_rows == 0) return 0;
-  thread_local std::vector<std::uint32_t> scratch;
-  if (scratch.size() < num_rows) scratch.resize(num_rows);
-  std::uint32_t* rows = scratch.data();
-  std::size_t r = 0;
-  for (const NibbleChunk& c : chunks_) {
-    rows[r++] = c.plane_row +
-                static_cast<std::uint32_t>((key_of(c.field) >> c.shift) & 0xf);
-  }
-  for (const RangeField& rf : ranges_) {
-    rows[r++] = rf.plane_row +
-                static_cast<std::uint32_t>(IntervalOf(rf.starts,
-                                                      key_of(rf.field)));
-  }
-  const std::uint64_t* plane = plane_.data();
-  const std::uint64_t* agg = agg_.data();
-  for (std::size_t a = 0; a < agg_words_; ++a) {
-    std::uint64_t candidates = ~0ull;
-    for (std::size_t i = 0; i < num_rows; ++i) {
-      candidates &= agg[rows[i] * agg_words_ + a];
-    }
-    // Positions are priority-sorted, so the first candidate word whose
-    // full AND is nonzero holds the winner.
-    while (candidates != 0) {
-      const std::size_t w =
-          a * 64 + static_cast<std::size_t>(std::countr_zero(candidates));
-      std::uint64_t hits = ~0ull;
-      for (std::size_t i = 0; i < num_rows; ++i) {
-        hits &= plane[rows[i] * words_ + w];
-      }
-      if (hits != 0) {
-        return static_cast<std::int32_t>(
-            w * 64 + static_cast<std::size_t>(std::countr_zero(hits)));
-      }
-      candidates &= candidates - 1;
-    }
-  }
-  return kMiss;
-}
-
 template <std::size_t kRows, class KeyOf>
 void MatchIndex::Walk(std::size_t n, KeyOf key_of, std::int32_t* out) const {
-  if (dims_.empty()) {
-    for (std::size_t p = 0; p < n; ++p) {
-      out[p] = FindByVectors([&](std::uint32_t i) { return key_of(p, i); });
-    }
-    return;
-  }
   // One class column per node: dimensions first, then cross products in
-  // build order, so the root's column is the last one written.
-  std::uint16_t cls[2 * kMaxClassDims][kRows];
-  const std::uint16_t* cells = cells_.data();
-  for (std::size_t first = 0; first < n; first += kRows) {
-    const std::size_t m = std::min(kRows, n - first);
-    const auto key = [&](std::size_t p, std::uint32_t i) {
-      return key_of(first + p, i);
-    };
-    std::size_t node = 0;
-    for (const ClassDim& d : dims_) {
-      const std::uint16_t* table = cells + d.cells;
-      std::uint16_t* col = cls[node++];
-      if (d.range == kNoRange) {
-        for (std::size_t p = 0; p < m; ++p) {
-          col[p] = table[std::min((key(p, d.field) >> d.shift) & d.mask,
+  // build order, so a position root's column is the last one written.
+  // `cls` holds the columns, kRows cells each, every one written before it
+  // is read: a stack array, or a heap vector past kStackNodes nodes. Each
+  // is its own instantiation, so the stack one stays a local array that no
+  // table load can alias.
+  const auto walk = [&](auto& cls) {
+    const auto col = [&cls](std::size_t node) { return &cls[node * kRows]; };
+    const std::uint16_t* cells = cells_.data();
+    for (std::size_t first = 0; first < n; first += kRows) {
+      const std::size_t m = std::min(kRows, n - first);
+      const auto key = [&](std::size_t p, std::uint32_t i) {
+        return key_of(first + p, i);
+      };
+      std::size_t node = 0;
+      for (const ClassDim& d : dims_) {
+        const std::uint16_t* table = cells + d.cells;
+        std::uint16_t* c = col(node++);
+        if (d.range == kNoRange) {
+          for (std::size_t p = 0; p < m; ++p) {
+            c[p] = table[std::min((key(p, d.field) >> d.shift) & d.mask,
                                   d.limit)];
+          }
+        } else {
+          const std::vector<std::uint64_t>& starts = ranges_[d.range].starts;
+          for (std::size_t p = 0; p < m; ++p) {
+            c[p] = table[IntervalOf(starts, key(p, d.field))];
+          }
         }
-      } else {
-        const std::vector<std::uint64_t>& starts = ranges_[d.range].starts;
+      }
+      for (const CrossProduct& x : products_) {
+        const std::uint16_t* table = cells + x.cells;
+        const std::uint16_t* a = col(x.a);
+        const std::uint16_t* b = col(x.b);
+        std::uint16_t* c = col(node++);
         for (std::size_t p = 0; p < m; ++p) {
-          col[p] = table[IntervalOf(starts, key(p, d.field))];
+          c[p] = table[a[p] * x.classes_b + b[p]];
         }
       }
-    }
-    for (const CrossProduct& x : products_) {
-      const std::uint16_t* table = cells + x.cells;
-      const std::uint16_t* a = cls[x.a];
-      const std::uint16_t* b = cls[x.b];
-      std::uint16_t* col = cls[node++];
+      if (position_root_) {
+        const std::uint16_t* root = col(node - 1);
+        for (std::size_t p = 0; p < m; ++p) {
+          out[first + p] = root[p] == kMissCell ? kMiss : root[p];
+        }
+        continue;
+      }
+      // The bitset root: the first word whose AND over the root nodes'
+      // class sets is nonzero holds the winner.
       for (std::size_t p = 0; p < m; ++p) {
-        col[p] = table[a[p] * x.classes_b + b[p]];
+        std::int32_t pos = kMiss;
+        for (std::size_t w = 0; w < words_; ++w) {
+          std::uint64_t hits = ~0ull;
+          for (const RootNode& r : root_) {
+            hits &= root_sets_[r.sets + col(r.node)[p] * words_ + w];
+          }
+          if (hits != 0) {
+            pos = static_cast<std::int32_t>(
+                w * 64 + static_cast<std::size_t>(std::countr_zero(hits)));
+            break;
+          }
+        }
+        out[first + p] = pos;
       }
     }
-    const std::uint16_t* root = cls[node - 1];
-    for (std::size_t p = 0; p < m; ++p) {
-      out[first + p] = root[p] == kMissCell ? kMiss : root[p];
-    }
+  };
+  const std::size_t nodes = dims_.size() + products_.size();
+  if (nodes > kStackNodes) {
+    std::vector<std::uint16_t> heap(nodes * kRows);
+    walk(heap);
+  } else {
+    std::uint16_t stack[kStackNodes * kRows];
+    walk(stack);
   }
 }
 

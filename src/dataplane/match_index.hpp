@@ -6,7 +6,7 @@
 // winner of any set of matching entries is its lowest sorted position — no
 // per-entry priority compares survive to lookup time.
 //
-// Class tables (the serving path), with 16-bit cells:
+// Class tables (the one lookup path), with 16-bit cells:
 //
 //   * a dimension is a window of at most 12 bits of one ternary field
 //     (whole nibble chunks; the field's top window is trimmed to the bits
@@ -16,35 +16,36 @@
 //     more — to a class: the id of one distinct set of compatible entries;
 //   * dimensions combine pairwise, level by level, into cross-product
 //     tables indexed by a * classes_b + b, whose cells hold the class of
-//     the two classes' intersection; the last table's cells hold the
-//     winning sorted position (the set's first entry) or a miss sentinel.
+//     the two classes' intersection. A pair whose table would pass 2^16
+//     cells, or whose class sets would pass the build budget (32 MiB held
+//     at once), carries both nodes up to the next level instead. Pairing
+//     stops at two nodes, or at a level where no pair combines;
+//   * the root answers the sorted position, in one of two ways picked at
+//     build time. A position root is the cross product of the last two
+//     nodes (or a lone dimension's table) whose cells hold the winning
+//     sorted position (the set's first entry) or a miss sentinel; it is
+//     taken when that table fits 2^16 cells and every position fits a
+//     cell beside the sentinel (at most 65,535 entries). Otherwise the
+//     bitset root keeps the last nodes' class bitsets, ANDs the row's
+//     classes word by word, and takes the first set bit.
+//     With no node at all (no entries, or only catch-all rules) the
+//     bitset root ANDs nothing: the first position wins, if any.
 //
 // Lookup cost: one load per dimension (after a shift and mask, a clamp, or
 // for a wide range field a branch-free binary search) plus one per cross
-// product, with no bitset AND and no data-dependent loop. A table keyed on
-// two fields of up to 12 bits answers in three loads. A batch walks the
-// nodes in chunks of up to kBatchRows rows, and each node is one pass over
-// the chunk: a dimension reads every row's key field straight off its PHV
-// words into a 16-bit class column, a cross product combines two earlier
-// columns, and the last column holds the sorted positions. Every load in a
-// pass is independent of the others in it. One row is a chunk of one.
+// product, and for a bitset root one load per root node and word up to the
+// first hit. A table keyed on two fields of up to 12 bits answers in three
+// loads. A batch walks the nodes in chunks of up to kBatchRows rows, and
+// each node is one pass over the chunk: a dimension reads every row's key
+// field straight off its PHV words into a 16-bit class column, a cross
+// product combines two earlier columns, and the root reads the last
+// column, or ANDs the root nodes' bitsets. Every load in a dimension or
+// product pass is independent of the others in it. One row is a chunk of
+// one.
 //
-// Budget: class tables are built only when the index has fewer than 65,535
-// entries (every position and the miss sentinel fit a cell), at most 16
-// dimensions, every table fits in 2^16 cells, and the class sets held
-// while building take at most 32 MiB. Otherwise the index serves by
-// aggregated bit vectors (ABV, Baboescu & Varghese, SIGCOMM 2001) over the
-// bit planes below: every plane row also carries ceil(words/64) aggregate
-// words, where bit w is set iff row word w is nonzero. That lookup gathers
-// one row per nibble chunk and per range field, ANDs their aggregates into
-// candidate words, and ANDs the full rows only at those candidates, in
-// ascending order; the first nonzero AND holds the winner. It costs
-// sum(rows) ANDs per aggregate word and per candidate word visited.
-//
-// Bit planes (what the class tables are compiled from, the ABV path, and
-// what a delta's match is checked against). Per key field, the set of
-// entries compatible with every field value, as one bitset row over sorted
-// positions:
+// Bit planes (what the class tables are compiled from, and what a delta's
+// match is checked against). Per key field, the set of entries compatible
+// with every field value, as one bitset row over sorted positions:
 //
 //   * ternary fields are decomposed into 4-bit nibble chunks; each chunk
 //     owns a 16-row table (row v = entries whose rule accepts nibble value
@@ -59,9 +60,7 @@
 //
 // Deltas write action words only. A patch must repeat its entry's match
 // (SelectsEntryKeys checks it against the planes) and priority, so the
-// planes, the aggregates and the class tables never change after the
-// build: an index serves from class tables, or by ABV when over budget,
-// for its whole life.
+// planes and the class tables never change after the build.
 //
 // Action data: CRC expands one leaf into many entries carrying identical
 // words, so the arena stores each distinct slice once and every sorted
@@ -99,13 +98,17 @@ struct MatchIndexStats {
   std::size_t intervals = 0;
   /// Ternary fields: nibble chunk tables built (16 bitset rows each).
   std::size_t nibble_chunks = 0;
-  /// 16-bit cells across the class tables; 0 when the index serves by
-  /// aggregated bit vectors (over budget).
+  /// 16-bit cells across the class tables; 0 only with no key dimension.
   std::size_t class_cells = 0;
-  /// Resident footprint of the class tables + bitset planes + aggregates +
-  /// boundaries + arena and its slice table + the priority runs; kept
-  /// current across deltas, and never above the footprint of the same
-  /// index with no slice shared.
+  /// Which root answers a lookup: kPositionRoot when the last class table
+  /// holds sorted positions, otherwise the number of nodes whose class
+  /// bitsets the bitset root ANDs (0 with no key dimension).
+  static constexpr std::size_t kPositionRoot = ~std::size_t{0};
+  std::size_t root_nodes = kPositionRoot;
+  /// Resident footprint of the class tables + the bitset root's sets + the
+  /// bit planes + boundaries + arena and its slice table + the priority
+  /// runs; kept current across deltas, and never above the footprint of
+  /// the same index with no slice shared.
   std::size_t bytes = 0;
   double build_ms = 0.0;
   /// O(delta) update counters: in-place patches applied without a reseal.
@@ -129,7 +132,10 @@ class MatchIndex {
   /// decomposition; otherwise entries' range_lo/range_hi are used. Field
   /// coverage is derived from the rules themselves (mask union /
   /// boundaries), so declared key widths are not needed. Throws
-  /// std::invalid_argument for an action word outside the PHV value domain.
+  /// std::invalid_argument for an action word outside the PHV value
+  /// domain, and std::length_error for action data past 2^32 words or a
+  /// range field with more than 2^16 classes (over 32K distinct bounds on
+  /// one field; a class id is a 16-bit cell).
   MatchIndex(std::span<const TableEntry> entries, bool kind_is_ternary);
 
   /// Highest-priority match for the per-field key values (earliest
@@ -229,11 +235,16 @@ class MatchIndex {
     std::uint32_t classes_b = 0;
     std::uint32_t cells = 0;  // first cell in cells_
   };
+  /// One node the bitset root ANDs: class c's bitset is the words_ words
+  /// at root_sets_[sets + c * words_].
+  struct RootNode {
+    std::size_t node = 0;
+    std::size_t sets = 0;
+  };
 
   void BuildTernary(std::span<const TableEntry> entries);
   void BuildRange(std::span<const TableEntry> entries);
-  /// Compiles the planes into class tables when they fit the budget;
-  /// otherwise leaves them empty and the index serves by ABV.
+  /// Compiles the planes into class tables and picks the root.
   void BuildClassTables();
   /// The one lookup walk behind FindBest and FindBatch: out[p] for rows
   /// p < n, where key_of(p, i) is row p's key field i as a 64-bit key, in
@@ -241,10 +252,6 @@ class MatchIndex {
   /// compile to straight-line loads.
   template <std::size_t kRows, class KeyOf>
   void Walk(std::size_t n, KeyOf key_of, std::int32_t* out) const;
-  /// One row by aggregated bit vectors, the path without class tables;
-  /// key_of(i) is the row's key field i.
-  template <class KeyOf>
-  std::int32_t FindByVectors(KeyOf key_of) const;
   /// Appends `count` all-zero plane rows; returns the first new row.
   std::uint32_t AddRows(std::size_t count);
   /// Rebuilds the arena from `words_of(pos)` for every position, storing
@@ -255,17 +262,20 @@ class MatchIndex {
   void CompactArena();
   void RefreshFootprint();
 
-  std::size_t words_ = 0;      // bitset words per row
-  std::size_t agg_words_ = 0;  // aggregate words per row
+  std::size_t words_ = 0;  // bitset words per row
   std::size_t num_entries_ = 0;
   std::vector<std::uint64_t> plane_;  // all bitset rows, row-major
-  std::vector<std::uint64_t> agg_;    // all aggregate rows, row-major
   std::vector<NibbleChunk> chunks_;
   std::vector<RangeField> ranges_;
-  /// Class tables; all three are empty when the index serves by ABV.
+  /// Class tables; all three are empty with no key dimension.
   std::vector<std::uint16_t> cells_;
   std::vector<ClassDim> dims_;
   std::vector<CrossProduct> products_;
+  /// The root: the last product's (or lone dimension's) cells hold sorted
+  /// positions, or else the bitset root ANDs root_'s class bitsets.
+  bool position_root_ = false;
+  std::vector<RootNode> root_;
+  std::vector<std::uint64_t> root_sets_;
   /// sorted position -> original entry index ((priority desc, idx asc)).
   std::vector<std::uint32_t> order_;
   /// original entry index -> sorted position (inverse of order_), so a

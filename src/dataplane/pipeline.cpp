@@ -38,16 +38,6 @@ std::size_t Pipeline::PlaceTable(std::unique_ptr<MatchActionTable> table,
       "b TCAM, " + std::to_string(bus) + "b action bus in one stage");
 }
 
-std::size_t Pipeline::Process(Phv& phv) const {
-  std::size_t hits = 0;
-  for (const Stage& stage : stages_) {
-    for (const auto& table : stage.tables) {
-      if (table->Apply(phv)) ++hits;
-    }
-  }
-  return hits;
-}
-
 std::size_t Pipeline::ProcessBatch(std::span<Phv> batch) const {
   std::size_t hits = 0;
   for (const Stage& stage : stages_) {
@@ -88,7 +78,9 @@ Pipeline::IndexReport Pipeline::MatchIndexReport() const {
       const MatchIndexStats* s = table->index_stats();
       if (s == nullptr) continue;
       ++r.indexed_tables;
-      if (s->class_cells != 0) ++r.classified_tables;
+      if (s->root_nodes != MatchIndexStats::kPositionRoot) {
+        ++r.bitset_root_tables;
+      }
       r.intervals += s->intervals;
       r.nibble_chunks += s->nibble_chunks;
       r.class_cells += s->class_cells;

@@ -50,15 +50,11 @@ class Pipeline {
     stateful_bits_per_flow_ += bits_per_flow;
   }
 
-  /// Runs the PHV through every stage in order. Returns the number of table
-  /// hits (for diagnostics).
-  std::size_t Process(Phv& phv) const;
-
-  /// Runs a batch of independent PHVs through the pipeline, traversing
-  /// stage-major/table-major so each table's entries stay hot in cache
-  /// across the whole batch. Per-packet semantics are identical to calling
-  /// Process on each PHV in turn (packets never interact). Returns total
-  /// table hits across the batch.
+  /// Runs a batch of independent PHVs through every placed table in stage
+  /// order, table-major so each table's index stays hot in cache across
+  /// the whole batch. Packets never interact: a PHV's fields after the call
+  /// do not depend on the rest of the batch. Returns total table hits
+  /// across the batch.
   std::size_t ProcessBatch(std::span<Phv> batch) const;
 
   ResourceReport Report() const;
@@ -77,8 +73,9 @@ class Pipeline {
   /// Aggregate match-index build stats across all placed tables.
   struct IndexReport {
     std::size_t indexed_tables = 0;
-    /// Indexed tables serving from class tables (the rest serve by ABV).
-    std::size_t classified_tables = 0;
+    /// Indexed tables whose class tables end in the bitset root (the rest
+    /// end in a position root; see MatchIndexStats::root_nodes).
+    std::size_t bitset_root_tables = 0;
     std::size_t intervals = 0;
     std::size_t nibble_chunks = 0;
     std::size_t class_cells = 0;

@@ -556,7 +556,7 @@ TEST(Pipeline, ProcessRunsStagesInOrder) {
 
   dp::Phv phv(layout);
   phv.Set(key, 1);
-  EXPECT_EQ(pipe.Process(phv), 2u);
+  EXPECT_EQ(pipe.ProcessBatch(std::span(&phv, 1)), 2u);
   EXPECT_EQ(phv.Get(out), 123);
 }
 

@@ -1,14 +1,19 @@
 // Cross-module integration tests: every model family must lower onto the
 // simulated switch with bit-exact semantics (host fuzzy reference ==
-// pipeline), fit the resource envelope, and emit plausible P4. These are
+// pipeline, and every Map table's compiled index == a linear scan of its
+// entries), fit the resource envelope, and emit plausible P4. These are
 // the end-to-end guarantees a deployment would rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "compiler/compiler.hpp"
+#include "dataplane/match_index.hpp"
 #include "eval/experiment.hpp"
 #include "models/autoencoder.hpp"
 #include "models/cnn_b.hpp"
@@ -19,6 +24,7 @@
 #include "runtime/lowering.hpp"
 #include "runtime/p4gen.hpp"
 
+namespace dp = pegasus::dataplane;
 namespace ev = pegasus::eval;
 namespace md = pegasus::models;
 namespace rt = pegasus::runtime;
@@ -32,12 +38,124 @@ const ev::PreparedDataset& Data() {
   return prep;
 }
 
+/// The first of `entries` in TCAM order (priority desc, index asc) whose
+/// rules accept `key`: the reference a compiled index must equal.
+std::optional<std::size_t> LinearFind(const std::vector<dp::TableEntry>& entries,
+                                      const std::vector<std::size_t>& order,
+                                      bool ternary,
+                                      const std::vector<std::uint64_t>& key) {
+  for (const std::size_t e : order) {
+    bool hit = true;
+    for (std::size_t f = 0; hit && f < key.size(); ++f) {
+      hit = ternary ? entries[e].ternary[f].Matches(key[f])
+                    : entries[e].range_lo[f] <= key[f] &&
+                          key[f] <= entries[e].range_hi[f];
+    }
+    if (hit) return e;
+  }
+  return std::nullopt;
+}
+
+/// Every Map table of `cm`, its entries regenerated as the lowering
+/// installs them (Seal() frees the placed tables' entries), compiled into
+/// a fresh MatchIndex and checked against LinearFind: each probe through
+/// FindBest, then all of them through one FindBatch call. A range table
+/// is probed at each entry's bounds and bounds +/- 1, a ternary table at
+/// each rule's value with none, all, or a random subset of its don't-care
+/// bits flipped. Every index with a key dimension has class cells.
+void ExpectTablesMatchLinear(const pegasus::core::CompiledModel& cm) {
+  const std::size_t max_ternary =
+      rt::LoweringOptions{}.max_ternary_entries_per_table;
+  const auto& ops = cm.program().ops();
+  std::mt19937_64 rng(17);
+  for (std::size_t oi = 0; oi < ops.size(); ++oi) {
+    if (ops[oi].kind != pegasus::core::OpKind::kMap || !cm.tables()[oi]) {
+      continue;
+    }
+    const rt::TableLowering tl = rt::LowerMapEntries(cm, oi, max_ternary);
+    std::vector<dp::TableEntry> entries;
+    for (const rt::LoweredLeaf& ll : tl.leaves) {
+      rt::AppendLeafEntries(tl, ll, entries);
+    }
+    const bool ternary = !tl.use_range;
+    const dp::MatchIndex index(entries, ternary);
+    const dp::MatchIndexStats& stats = index.stats();
+    if (stats.nibble_chunks + stats.intervals > 0) {
+      EXPECT_GT(stats.class_cells, 0u) << tl.name;
+    }
+    std::vector<std::size_t> order(entries.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return entries[a].priority > entries[b].priority;
+                     });
+
+    // Probes as PHV words; FindBest reads the same value sign-extended.
+    const std::size_t nk = tl.key_widths.size();
+    std::vector<std::int32_t> words;
+    const auto add_probe = [&](const auto& value_of) {
+      for (std::size_t f = 0; f < nk; ++f) {
+        words.push_back(static_cast<std::int32_t>(value_of(f)));
+      }
+    };
+    for (const dp::TableEntry& e : entries) {
+      if (ternary) {
+        for (int flip = 0; flip < 3; ++flip) {
+          add_probe([&](std::size_t f) {
+            const std::uint64_t width = (1ull << tl.key_widths[f]) - 1;
+            const std::uint64_t dont_care = ~e.ternary[f].mask & width;
+            const std::uint64_t bits =
+                flip == 0 ? 0 : flip == 1 ? dont_care : dont_care & rng();
+            return static_cast<std::int64_t>((e.ternary[f].value & width) ^
+                                             bits);
+          });
+        }
+        continue;
+      }
+      for (const std::int64_t delta : {-1, 0, 1}) {
+        add_probe([&](std::size_t f) {
+          return static_cast<std::int64_t>(e.range_lo[f]) + delta;
+        });
+        add_probe([&](std::size_t f) {
+          return static_cast<std::int64_t>(e.range_hi[f]) + delta;
+        });
+      }
+    }
+    const std::size_t n = words.size() / std::max<std::size_t>(nk, 1);
+    std::vector<const std::int32_t*> rows(n);
+    std::vector<std::int32_t> got(n);
+    for (std::size_t p = 0; p < n; ++p) {
+      rows[p] = words.data() + p * nk;
+      std::vector<std::uint64_t> key(nk);
+      for (std::size_t f = 0; f < nk; ++f) {
+        key[f] = static_cast<std::uint64_t>(
+            static_cast<std::int64_t>(rows[p][f]));
+      }
+      const std::optional<std::size_t> want =
+          LinearFind(entries, order, ternary, key);
+      const std::int32_t pos = index.FindBest(key.data());
+      ASSERT_EQ(want.has_value(), pos != dp::MatchIndex::kMiss)
+          << tl.name << " probe " << p;
+      if (want) {
+        ASSERT_EQ(index.EntryIndex(pos), *want) << tl.name << " probe " << p;
+      }
+      got[p] = pos;
+    }
+    std::vector<dp::FieldId> key_fields(nk);
+    std::iota(key_fields.begin(), key_fields.end(), dp::FieldId{0});
+    std::vector<std::int32_t> batch(n);
+    index.FindBatch(rows.data(), n, key_fields.data(), batch.data());
+    ASSERT_EQ(batch, got) << tl.name << ": FindBatch != FindBest";
+  }
+}
+
 /// InferRaw == EvaluateRaw on the first `count` rows of `x`, each
 /// lowered.InputDim() wide: one row at a time, then every row through one
 /// 64-row InferenceEngine in a single batched InferRaw call (80 rows or
-/// more cross a chunk boundary). Records how many of the pipeline's tables
-/// serve by aggregated bit vectors (ABV) as the test property
-/// `<name>_abv_tables`, "abv/tables".
+/// more cross a chunk boundary). Then every Map table's index against a
+/// linear scan (ExpectTablesMatchLinear). Records how many of the
+/// pipeline's tables end their class tables in the bitset root as the
+/// test property `<name>_bitset_root_tables`, "bitset-root/tables".
 void ExpectBitExact(const char* name, const pegasus::core::CompiledModel& cm,
                     const rt::LoweredModel& lowered, std::span<const float> x,
                     std::size_t count) {
@@ -60,10 +178,11 @@ void ExpectBitExact(const char* name, const pegasus::core::CompiledModel& cm,
     ASSERT_EQ(want[i], std::vector<std::int64_t>(got.begin(), got.end()))
         << "batched sample " << i;
   }
+  ExpectTablesMatchLinear(cm);
   const auto report = lowered.pipeline().MatchIndexReport();
   ::testing::Test::RecordProperty(
-      std::string(name) + "_abv_tables",
-      std::to_string(report.indexed_tables - report.classified_tables) + "/" +
+      std::string(name) + "_bitset_root_tables",
+      std::to_string(report.bitset_root_tables) + "/" +
           std::to_string(report.indexed_tables));
 }
 
@@ -90,6 +209,35 @@ TEST(Integration, RnnBLowersBitExact) {
   EXPECT_GT(rep.tcam_bits, 0u);
   // Chained steps need at least window-many stages.
   EXPECT_GE(lowered.StagesUsed(), tr::kWindow);
+}
+
+TEST(Integration, RnnBWithSeventeenRangeFieldsLowersBitExact) {
+  // hidden = 15: each step table keys on 15 hidden values plus (len, ipd),
+  // 17 range fields, so 17 class-table dimensions.
+  const auto& prep = Data();
+  md::RnnBConfig cfg;
+  cfg.epochs = 8;
+  cfg.hidden = 15;
+  auto m = md::RnnB::Train(prep.seq.train.x, prep.seq.train.labels,
+                           prep.seq.train.size(), prep.seq.train.dim,
+                           prep.num_classes, cfg);
+  std::size_t widest = 0;
+  const auto& ops = m->Compiled().program().ops();
+  for (std::size_t oi = 0; oi < ops.size(); ++oi) {
+    if (ops[oi].kind != pegasus::core::OpKind::kMap ||
+        !m->Compiled().tables()[oi]) {
+      continue;
+    }
+    widest = std::max(
+        widest, rt::LowerMapEntries(m->Compiled(), oi,
+                                    rt::LoweringOptions{}
+                                        .max_ternary_entries_per_table)
+                    .key_widths.size());
+  }
+  EXPECT_EQ(widest, 17u);
+  auto lowered = rt::Lower(m->Compiled(), {});
+  ExpectBitExact("rnn_b_hidden15", m->Compiled(), lowered, prep.seq.test,
+                 80);
 }
 
 TEST(Integration, CnnMLowersBitExactInOneStage) {

@@ -2,10 +2,10 @@
 // path must be bit-identical to the linear-scan reference on randomized
 // ternary/range tables — same winners under priority ties, same misses,
 // same PHV contents after Apply/ApplyBatch, with entries sharing
-// action-data slices — whether the index serves from class tables or by
-// aggregated bit vectors, plus the build/sealed lifecycle and the
-// action-word delta contract. Each probe set runs one key at a time and
-// then as one ApplyBatch call spanning full batch chunks and a partial one.
+// action-data slices — whether the class tables end in a position root or
+// a bitset root, plus the build/sealed lifecycle and the action-word delta
+// contract. Each probe set runs one key at a time and then as one
+// ApplyBatch call spanning full batch chunks and a partial one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -328,7 +328,8 @@ TEST(MatchIndex, RangeTopOfDomain64Bit) {
 
 TEST(MatchIndex, PriorityTiesResolveToEarliestEntry) {
   // Three overlapping same-priority entries: the earliest must win on both
-  // paths (TCAM physical ordering).
+  // paths (TCAM physical ordering). Catch-all rules leave no key dimension,
+  // so the bitset root ANDs no node and the first position wins.
   std::vector<dp::TableEntry> entries;
   for (int e = 0; e < 10; ++e) {
     entries.push_back({.ternary = {dp::TernaryRule{0, 0}},
@@ -336,6 +337,8 @@ TEST(MatchIndex, PriorityTiesResolveToEarliestEntry) {
                        .action_data = {e}});
   }
   const TablePair p = MakePair(dp::MatchKind::kTernary, {8}, entries);
+  EXPECT_EQ(p.indexed->index_stats()->class_cells, 0u);
+  EXPECT_EQ(p.indexed->index_stats()->root_nodes, 0u);
   dp::Phv phv(p.layout);
   phv.Set(p.keys[0], 3);
   EXPECT_EQ(p.indexed->Lookup(phv), std::optional<std::size_t>{0});
@@ -345,6 +348,7 @@ TEST(MatchIndex, PriorityTiesResolveToEarliestEntry) {
                      .priority = 9,
                      .action_data = {42}});
   const TablePair q = MakePair(dp::MatchKind::kTernary, {8}, entries);
+  EXPECT_EQ(q.indexed->index_stats()->root_nodes, 0u);
   EXPECT_EQ(q.indexed->Lookup(phv), std::optional<std::size_t>{10});
   EXPECT_EQ(q.linear->Lookup(phv), std::optional<std::size_t>{10});
 }
@@ -514,7 +518,8 @@ TEST(MatchIndex, GenerationCounterTracksTheLifecycle) {
 TEST(MatchIndex, SmallTablesSealWithAnIndex) {
   // Every table seals with an index, however few its entries: 0, 1 and 7
   // entries, ternary and range, answer every 8-bit key like the linear
-  // reference, and take a delta.
+  // reference, and take a delta. With no entry there is no key dimension:
+  // the bitset root ANDs no node and every key misses.
   std::mt19937_64 rng(808);
   for (const dp::MatchKind kind :
        {dp::MatchKind::kTernary, dp::MatchKind::kRange}) {
@@ -537,6 +542,10 @@ TEST(MatchIndex, SmallTablesSealWithAnIndex) {
       TablePair p = MakePair(kind, {8}, entries);
       ASSERT_NE(p.indexed->index_stats(), nullptr) << n << " entries";
       EXPECT_EQ(p.indexed->index_stats()->entries, n);
+      if (n == 0) {
+        EXPECT_EQ(p.indexed->index_stats()->class_cells, 0u);
+        EXPECT_EQ(p.indexed->index_stats()->root_nodes, 0u);
+      }
       for (std::uint64_t k = 0; k < 256; ++k) ExpectSameLookup(p, {k});
       if (entries.empty()) continue;
       entries[0].action_data = {40, 41};
@@ -574,15 +583,28 @@ TEST(MatchIndex, PlaceTableSealsAndPipelineReportsIndex) {
   pipe.PlaceTable(std::move(t), 0);
   const auto report = pipe.MatchIndexReport();
   EXPECT_EQ(report.indexed_tables, 1u);
-  EXPECT_EQ(report.classified_tables, 1u);
+  EXPECT_EQ(report.bitset_root_tables, 0u) << "one window: a position root";
   EXPECT_GT(report.nibble_chunks, 0u);
   EXPECT_GT(report.class_cells, 0u);
   EXPECT_GT(report.bytes, 0u);
 
   dp::Phv phv(layout);
   phv.Set(key, 7);
-  EXPECT_EQ(pipe.Process(phv), 1u);
+  EXPECT_EQ(pipe.ProcessBatch(std::span(&phv, 1)), 1u);
   EXPECT_EQ(phv.Get(out), 7);
+
+  // A catch-all table has no key dimension: it ends in the bitset root.
+  auto any = std::make_unique<dp::MatchActionTable>(
+      "any", dp::MatchKind::kTernary, std::vector<dp::FieldId>{key},
+      std::vector<int>{10}, prog, 16);
+  dp::TableEntry catch_all;
+  catch_all.ternary = {dp::TernaryRule{0, 0}};
+  catch_all.action_data = {1};
+  any->AddEntry(catch_all);
+  pipe.PlaceTable(std::move(any), 1);
+  const auto both = pipe.MatchIndexReport();
+  EXPECT_EQ(both.indexed_tables, 2u);
+  EXPECT_EQ(both.bitset_root_tables, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1119,11 +1141,22 @@ TEST(MatchIndexClasses, LoweredRangeTablesServeFromClassTables) {
   // One entry per leaf box, every fifth leaf left out. Four 8-bit fields
   // are CNN-M's shape (three cross products); three fields leave an odd
   // node over at the first level, and a 16-bit field's interval is
-  // searched before its table is read.
+  // searched before its table is read. 16 fields over 160 leaves is an
+  // RNN-B step table's shape and 10 fields over 256 an AutoEncoder
+  // decoder table's: their cross products pass 2^16 cells long before
+  // the root, so nodes carry up to a bitset root.
+  struct Shape {
+    std::vector<int> widths;
+    std::size_t leaves;
+    bool bitset_root;
+  };
   std::mt19937_64 rng(31337);
-  for (const std::vector<int>& widths :
-       {std::vector<int>{8, 8, 8, 8}, std::vector<int>{8, 16, 10}}) {
-    const auto boxes = RandomLeafBoxes(rng, widths.size(), 8, 60);
+  for (const Shape& shape :
+       {Shape{{8, 8, 8, 8}, 60, false}, Shape{{8, 16, 10}, 60, false},
+        Shape{std::vector<int>(16, 8), 160, true},
+        Shape{std::vector<int>(10, 8), 256, true}}) {
+    const std::vector<int>& widths = shape.widths;
+    const auto boxes = RandomLeafBoxes(rng, widths.size(), 8, shape.leaves);
     std::vector<dp::TableEntry> entries;
     for (std::size_t leaf = 0; leaf < boxes.size(); ++leaf) {
       if (leaf % 5 == 4) continue;
@@ -1138,6 +1171,10 @@ TEST(MatchIndexClasses, LoweredRangeTablesServeFromClassTables) {
     }
     const TablePair p = MakePair(dp::MatchKind::kRange, widths, entries);
     EXPECT_GT(ClassCells(p), 0u) << widths.size() << " fields";
+    EXPECT_EQ(p.indexed->index_stats()->root_nodes !=
+                  dp::MatchIndexStats::kPositionRoot,
+              shape.bitset_root)
+        << widths.size() << " fields";
     Keys probes;
     for (int probe = 0; probe < 600; ++probe) {
       probes.push_back(RandomKey(rng, widths, /*allow_overwide=*/false));
@@ -1150,10 +1187,11 @@ TEST(MatchIndexClasses, LoweredRangeTablesServeFromClassTables) {
   }
 }
 
-TEST(MatchIndexClasses, OverBudgetTableServesByBitVectors) {
+TEST(MatchIndexClasses, OverBudgetProductsCarryToABitsetRoot) {
   // Three fields under random 16-bit masks: each field's 12-bit windows
-  // split into thousands of classes, so the cross products pass 2^16
-  // cells and the index keeps serving by aggregated bit vectors.
+  // split into thousands of classes, so some cross products would pass
+  // 2^16 cells. Their nodes carry up, and the class tables end in the
+  // bitset root over the nodes that never combined.
   std::mt19937_64 rng(99);
   const std::vector<int> widths = {16, 16, 16};
   std::vector<dp::TableEntry> entries;
@@ -1168,16 +1206,20 @@ TEST(MatchIndexClasses, OverBudgetTableServesByBitVectors) {
   }
   const TablePair p = MakePair(dp::MatchKind::kTernary, widths, entries);
   ASSERT_NE(p.indexed->index_stats(), nullptr);
-  EXPECT_EQ(ClassCells(p), 0u);
+  EXPECT_GT(ClassCells(p), 0u);
+  const std::size_t root = p.indexed->index_stats()->root_nodes;
+  EXPECT_NE(root, dp::MatchIndexStats::kPositionRoot);
+  EXPECT_GE(root, 2u);
   ExpectTernaryMatchesLinear(p, rng, widths, entries);
 }
 
-TEST(MatchIndexClasses, SixteenDimensionsAtMost) {
+TEST(MatchIndexClasses, AnyDimensionCountServesFromClassTables) {
   // One 4-bit field is one dimension. Every entry pins each field to 0
   // or 1, so no node has more classes than entries + 1 and every table
-  // stays small: only the dimension count decides the path.
+  // stays small: 16, 17 and 40 dimensions all pair down to a position
+  // root (past 16, the walk's class columns leave the stack).
   std::mt19937_64 rng(1616);
-  for (const std::size_t fields : {16, 17}) {
+  for (const std::size_t fields : {16, 17, 40}) {
     const std::vector<int> widths(fields, 4);
     std::vector<dp::TableEntry> entries;
     for (std::size_t e = 0; e < 40; ++e) {
@@ -1190,12 +1232,53 @@ TEST(MatchIndexClasses, SixteenDimensionsAtMost) {
       entries.push_back(entry);
     }
     const TablePair p = MakePair(dp::MatchKind::kTernary, widths, entries);
-    if (fields <= 16) {
-      EXPECT_GT(ClassCells(p), 0u) << fields << " fields";
-    } else {
-      EXPECT_EQ(ClassCells(p), 0u) << fields << " fields";
-    }
+    EXPECT_GT(ClassCells(p), 0u) << fields << " fields";
+    EXPECT_EQ(p.indexed->index_stats()->root_nodes,
+              dp::MatchIndexStats::kPositionRoot)
+        << fields << " fields";
     ExpectTernaryMatchesLinear(p, rng, widths, entries);
+  }
+}
+
+TEST(MatchIndexClasses, PositionsPastACellTakeTheBitsetRoot) {
+  // Every (a, b) pair of two 8-bit fields but (7, 7): 65,535 entries,
+  // whose sorted positions all fit beside the miss cell, so the root
+  // product holds positions. A copy of (8, 8)'s rule in front makes
+  // 65,536: (255, 255) then wins at position 65,535, the miss cell, and
+  // the same two dimensions feed the bitset root instead.
+  const auto pair_entry = [](std::uint64_t a, std::uint64_t b,
+                              std::int64_t word) {
+    dp::TableEntry e;
+    e.ternary = {dp::TernaryRule{a, 0xff}, dp::TernaryRule{b, 0xff}};
+    e.action_data = {word};
+    return e;
+  };
+  for (const bool copy : {false, true}) {
+    std::vector<dp::TableEntry> entries;
+    if (copy) entries.push_back(pair_entry(8, 8, -1));
+    for (std::uint64_t a = 0; a < 256; ++a) {
+      for (std::uint64_t b = 0; b < 256; ++b) {
+        if (a == 7 && b == 7) continue;
+        entries.push_back(
+            pair_entry(a, b, static_cast<std::int64_t>(a * 256 + b)));
+      }
+    }
+    const TablePair p = MakePair(dp::MatchKind::kTernary, {8, 8}, entries);
+    const dp::MatchIndexStats& stats = *p.indexed->index_stats();
+    if (copy) {
+      EXPECT_EQ(stats.class_cells, 512u) << "two dimensions, no product";
+      EXPECT_EQ(stats.root_nodes, 2u);
+    } else {
+      EXPECT_EQ(stats.class_cells, 512u + 65536u);
+      EXPECT_EQ(stats.root_nodes, dp::MatchIndexStats::kPositionRoot);
+    }
+    const dp::Phv last = KeyedPhv(p, {255, 255});
+    EXPECT_EQ(p.indexed->Lookup(last),
+              std::optional<std::size_t>{entries.size() - 1});
+    std::mt19937_64 rng(65535);
+    Keys probes{{0, 0}, {7, 7}, {7, 8}, {8, 8}, {255, 254}, {255, 255}};
+    while (probes.size() < 99) probes.push_back({rng() & 0xff, rng() & 0xff});
+    ExpectSameDecisions(p, probes);
   }
 }
 

@@ -390,7 +390,7 @@ TEST(StatsAudit, MatchIndexStatsShapeIsPinned) {
   // Aggregated field-by-field in Pipeline::MatchIndexReport (the PR 9
   // delta counters were the trap there) — pin the struct so a new field
   // forces that aggregation to be revisited.
-  static_assert(sizeof(pegasus::dataplane::MatchIndexStats) == 88,
+  static_assert(sizeof(pegasus::dataplane::MatchIndexStats) == 96,
                 "MatchIndexStats changed: extend Pipeline::MatchIndexReport");
   SUCCEED();
 }
