@@ -68,15 +68,12 @@ void BM_CrcExpansion(benchmark::State& state) {
 }
 BENCHMARK(BM_CrcExpansion)->Arg(8)->Arg(10)->Arg(16);
 
-// Shared table builders for the indexed-vs-linear lookup families. The
-// sealed variants exercise the compiled MatchIndex (the production path —
-// Pipeline::PlaceTable seals every table); the *Linear variants keep the
-// table unsealed to pin the pre-index scan cost in the same
-// BENCH_micro.json artifact.
+// Shared table builders for the lookup families. Each returns a sealed
+// table, served by its compiled MatchIndex as Pipeline::PlaceTable serves
+// every table it places.
 
 dataplane::MatchActionTable BuildTernaryBenchTable(dataplane::PhvLayout& layout,
-                                                   std::size_t entries,
-                                                   bool sealed) {
+                                                   std::size_t entries) {
   const auto key = layout.AddField("k", 10);
   const auto out = layout.AddField("o", 16);
   std::vector<dataplane::ActionOp> prog{
@@ -90,13 +87,12 @@ dataplane::MatchActionTable BuildTernaryBenchTable(dataplane::PhvLayout& layout,
                     .action_data = {static_cast<std::int64_t>(e)}});
   }
   table.AddEntry({.ternary = {dataplane::TernaryRule{0, 0}}, .action_data = {0}});
-  if (sealed) table.Seal();
+  table.Seal();
   return table;
 }
 
 dataplane::MatchActionTable BuildRangeBenchTable(dataplane::PhvLayout& layout,
-                                                 std::size_t entries,
-                                                 bool sealed) {
+                                                 std::size_t entries) {
   const auto key = layout.AddField("k", 16);
   const auto out = layout.AddField("o", 16);
   std::vector<dataplane::ActionOp> prog{
@@ -111,7 +107,7 @@ dataplane::MatchActionTable BuildRangeBenchTable(dataplane::PhvLayout& layout,
                     .action_data = {static_cast<std::int64_t>(e)}});
   }
   table.AddEntry({.range_lo = {0}, .range_hi = {65535}, .action_data = {0}});
-  if (sealed) table.Seal();
+  table.Seal();
   return table;
 }
 
@@ -130,38 +126,20 @@ void RunLookupLoop(benchmark::State& state,
 void BM_TernaryTableLookup(benchmark::State& state) {
   const auto entries = static_cast<std::size_t>(state.range(0));
   dataplane::PhvLayout layout;
-  const auto table = BuildTernaryBenchTable(layout, entries, /*sealed=*/true);
+  const auto table = BuildTernaryBenchTable(layout, entries);
   dataplane::Phv phv(layout);
   RunLookupLoop(state, table, phv, layout.Find("k"), entries + 16);
 }
 BENCHMARK(BM_TernaryTableLookup)->Arg(16)->Arg(128)->Arg(1024);
 
-void BM_TernaryTableLookupLinear(benchmark::State& state) {
-  const auto entries = static_cast<std::size_t>(state.range(0));
-  dataplane::PhvLayout layout;
-  const auto table = BuildTernaryBenchTable(layout, entries, /*sealed=*/false);
-  dataplane::Phv phv(layout);
-  RunLookupLoop(state, table, phv, layout.Find("k"), entries + 16);
-}
-BENCHMARK(BM_TernaryTableLookupLinear)->Arg(16)->Arg(128)->Arg(1024);
-
 void BM_RangeTableLookup(benchmark::State& state) {
   const auto entries = static_cast<std::size_t>(state.range(0));
   dataplane::PhvLayout layout;
-  const auto table = BuildRangeBenchTable(layout, entries, /*sealed=*/true);
+  const auto table = BuildRangeBenchTable(layout, entries);
   dataplane::Phv phv(layout);
   RunLookupLoop(state, table, phv, layout.Find("k"), entries * 16 + 64);
 }
 BENCHMARK(BM_RangeTableLookup)->Arg(16)->Arg(128)->Arg(1024);
-
-void BM_RangeTableLookupLinear(benchmark::State& state) {
-  const auto entries = static_cast<std::size_t>(state.range(0));
-  dataplane::PhvLayout layout;
-  const auto table = BuildRangeBenchTable(layout, entries, /*sealed=*/false);
-  dataplane::Phv phv(layout);
-  RunLookupLoop(state, table, phv, layout.Find("k"), entries * 16 + 64);
-}
-BENCHMARK(BM_RangeTableLookupLinear)->Arg(16)->Arg(128)->Arg(1024);
 
 // A lowered Map table's shape: two 10-bit key fields, the key space cut
 // into `leaves` boxes by random axis-aligned splits (a fuzzy tree's
@@ -174,7 +152,6 @@ BENCHMARK(BM_RangeTableLookupLinear)->Arg(16)->Arg(128)->Arg(1024);
 // 1023, as one kAddFromData run.
 dataplane::MatchActionTable BuildMapBenchTable(dataplane::PhvLayout& layout,
                                                std::size_t leaves,
-                                               bool sealed,
                                                std::size_t sum_words = 0) {
   const auto k0 = layout.AddField("k0", 10);
   const auto k1 = layout.AddField("k1", 10);
@@ -222,14 +199,14 @@ dataplane::MatchActionTable BuildMapBenchTable(dataplane::PhvLayout& layout,
       }
     }
   }
-  if (sealed) table.Seal();
+  table.Seal();
   return table;
 }
 
-void RunMapLookupLoop(benchmark::State& state, bool sealed) {
+void BM_MapTableLookup(benchmark::State& state) {
   dataplane::PhvLayout layout;
-  const auto table = BuildMapBenchTable(
-      layout, static_cast<std::size_t>(state.range(0)), sealed);
+  const auto table =
+      BuildMapBenchTable(layout, static_cast<std::size_t>(state.range(0)));
   const auto k0 = layout.Find("k0");
   const auto k1 = layout.Find("k1");
   std::mt19937_64 rng(7);
@@ -246,24 +223,14 @@ void RunMapLookupLoop(benchmark::State& state, bool sealed) {
   state.counters["entries"] = static_cast<double>(table.NumEntries());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-
-void BM_MapTableLookup(benchmark::State& state) {
-  RunMapLookupLoop(state, /*sealed=*/true);
-}
 BENCHMARK(BM_MapTableLookup)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_MapTableLookupLinear(benchmark::State& state) {
-  RunMapLookupLoop(state, /*sealed=*/false);
-}
-BENCHMARK(BM_MapTableLookupLinear)->Arg(16)->Arg(64)->Arg(256);
-
-void RunApplyBatchLoop(benchmark::State& state, bool sealed) {
+void BM_TernaryApplyBatch(benchmark::State& state) {
   // 1024-entry table, 64-packet batches: the ApplyBatch shape the
-  // InferenceEngine drives. Unsealed, ApplyBatch is a loop of linear-scan
-  // Apply calls.
+  // InferenceEngine drives.
   const std::size_t entries = 1024, batch = 64;
   dataplane::PhvLayout layout;
-  const auto table = BuildTernaryBenchTable(layout, entries, sealed);
+  const auto table = BuildTernaryBenchTable(layout, entries);
   const auto key = layout.Find("k");
   std::vector<dataplane::Phv> phvs(batch, dataplane::Phv(layout));
   for (std::size_t p = 0; p < batch; ++p) {
@@ -276,16 +243,7 @@ void RunApplyBatchLoop(benchmark::State& state, bool sealed) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
 }
-
-void BM_TernaryApplyBatch(benchmark::State& state) {
-  RunApplyBatchLoop(state, /*sealed=*/true);
-}
 BENCHMARK(BM_TernaryApplyBatch);
-
-void BM_TernaryApplyBatchLinear(benchmark::State& state) {
-  RunApplyBatchLoop(state, /*sealed=*/false);
-}
-BENCHMARK(BM_TernaryApplyBatchLinear);
 
 void BM_MapTableApplyBatch(benchmark::State& state) {
   // The SumReduce action shape: a sealed lowered-Map table whose hits add
@@ -294,8 +252,7 @@ void BM_MapTableApplyBatch(benchmark::State& state) {
   constexpr std::size_t kBatch = 64, kSumWords = 14;
   dataplane::PhvLayout layout;
   const auto table = BuildMapBenchTable(
-      layout, static_cast<std::size_t>(state.range(0)), /*sealed=*/true,
-      kSumWords);
+      layout, static_cast<std::size_t>(state.range(0)), kSumWords);
   const auto k0 = layout.Find("k0");
   const auto k1 = layout.Find("k1");
   std::mt19937_64 rng(9);
@@ -322,7 +279,7 @@ void BM_MapTableClone(benchmark::State& state) {
   // table of 64 leaves (1,230 entries) with 14 words each. 32 of them come
   // to 39,360 entries, close to MLP-B's 37,960.
   dataplane::PhvLayout layout;
-  const auto table = BuildMapBenchTable(layout, 64, /*sealed=*/true, 14);
+  const auto table = BuildMapBenchTable(layout, 64, 14);
   for (auto _ : state) {
     benchmark::DoNotOptimize(table.Clone());
   }

@@ -1,34 +1,23 @@
-// End-to-end streaming-serving benchmark: packets/sec through the sharded
-// StreamServer for two models (MLP-B on the stat path, CNN-M on the seq
-// path) at 1 and 4 shards, single- and multi-threaded — the serving-side
-// scaling curve the ROADMAP's "millions of flows" north star needs tracked
-// per commit. Writes BENCH_stream.json (argv[1] overrides the path) for the
-// CI artifact.
+// Serving-side CI gates: the O(delta) table-update sweep and the cost of
+// stage-latency sampling, plus the telemetry artifacts CI converts. Writes
+// BENCH_stream.json (argv[1] overrides the path) with two sections:
 //
-// The whole dataset (all splits) is merged into one time-ordered trace so
-// the stream carries realistic flow interleaving; accuracy is reported over
-// the per-packet decisions as a sanity anchor, not a headline number (train
-// flows are part of the stream).
+//   update_runs  — in-place ApplyDelta vs rebuild+reseal over table size x
+//                  patched-entry count. tools/compare_index_bench.py --swap
+//                  fails CI when a patched table decides differently from
+//                  its resealed twin;
+//   latency_runs — MLP-B on 4 shards multi-threaded, unsampled vs 1-in-32
+//                  stage-latency sampling, arm-interleaved best of 5.
+//                  compare_index_bench.py --latency gates the sampled /
+//                  unsampled throughput ratio.
 //
-// A second section exercises the model lifecycle: the same trace is served
-// with a hitless v1 -> v2 hot swap at the midpoint (a retrained MLP-B),
-// recording the per-shard swap latency (engine rebuild gap) and the
-// throughput *of the run containing the swap* next to the no-swap baseline
-// — the "can we push a model without a maintenance window" number.
-// tools/compare_index_bench.py --stream condenses these rows into
-// BENCH_swap.json.
-// A multi-ingest section sweeps the ISSUE 6 scaling curve: ingest x shard
-// configs (1x1 up to 4x8) replaying the trace through
-// Serve(PartitionedPacketSource&) — digest-disjoint partitions, burst
-// rings, per-shard sinks — reporting aggregate pps, scaling efficiency
-// against the 1x1 run, and the shed counters (one deliberately overloaded
-// row documents the shedding knob). Emitted as "scaling_runs".
-// A third section exercises the packet-I/O subsystem: the merged trace is
-// exported as a real pcap capture (io::WriteDatasetPcap) and replayed
-// straight from the file through PcapPacketSource — as fast as possible in
-// ST and MT, and trace-paced at a speedup targeting ~1s of wall time — the
-// "can the serving path drink from the wire" numbers. Written separately as
-// BENCH_replay.json (CI uploads it with the stream artifact).
+// Next to it go BENCH_telemetry.json (the sampled arm's TelemetrySnapshot)
+// and BENCH_trace.json (the flight recorder of a swap+shed run, which
+// tools/trace_to_chrome.py converts for Perfetto).
+//
+// Serving throughput and latency are measured by pegabench (bench/e2e):
+// each of its workloads serves for seconds, over several passes, behind a
+// decision oracle.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -41,127 +30,17 @@
 #include "common.hpp"
 #include "compiler/compiler.hpp"
 #include "eval/experiment.hpp"
-#include "io/assemble.hpp"
-#include "io/replay.hpp"
 #include "runtime/stream_server.hpp"
 
 namespace {
 
+namespace dp = pegasus::dataplane;
 namespace ev = pegasus::eval;
 namespace rt = pegasus::runtime;
-namespace tr = pegasus::traffic;
-
 namespace tel = pegasus::telemetry;
 
-/// Sampling cadence for the bench rows: cheap enough to leave on (the
-/// latency_runs section below measures the cost), dense enough for stable
-/// p999 over a scale-sized trace.
+/// The sampled arm's cadence, the one CI gates.
 constexpr std::uint32_t kBenchSampleEvery = 32;
-
-struct RunRow {
-  std::string model;
-  std::string feature;
-  std::size_t shards = 0;
-  std::size_t threads = 0;  // 0 = single-threaded driver loop
-  std::uint64_t packets = 0;
-  std::uint64_t decisions = 0;
-  std::uint64_t warmup = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t batches = 0;
-  double wall_ms = 0.0;
-  double pps = 0.0;
-  double accuracy = 0.0;
-  // End-to-end latency quantiles (sampled 1-in-kBenchSampleEvery), ns.
-  double p50_ns = 0.0;
-  double p99_ns = 0.0;
-  double p999_ns = 0.0;
-  // Per-stage p99, ns (dwell is 0 in single-threaded runs: no ring).
-  double lookup_p99_ns = 0.0;
-  double extract_p99_ns = 0.0;
-  double infer_p99_ns = 0.0;
-  double dwell_p99_ns = 0.0;
-};
-
-RunRow RunOne(const std::string& name, const rt::LoweredModel& lowered,
-              rt::FeatureKind kind,
-              const std::vector<tr::TracePacket>& trace,
-              std::size_t num_classes, std::size_t shards, bool mt) {
-  rt::StreamServerOptions opts;
-  opts.num_shards = shards;
-  opts.flows_per_shard = 1 << 10;
-  opts.feature = kind;
-  opts.multithreaded = mt;
-  opts.telemetry.sample_every = kBenchSampleEvery;
-  rt::StreamServer server(lowered, opts);
-  const auto run = ev::ServeTrace(server, trace);
-
-  RunRow row;
-  row.model = name;
-  row.feature = rt::FeatureKindName(kind);
-  row.shards = shards;
-  row.threads = mt ? shards : 0;
-  row.packets = run.stats.packets;
-  row.decisions = run.stats.decisions;
-  row.warmup = run.stats.warmup;
-  row.evictions = run.stats.table.evictions;
-  row.batches = run.stats.batches;
-  row.wall_ms = run.wall_ms;
-  row.pps = run.packets_per_sec;
-  row.accuracy = ev::EvaluateDecisions(run.decisions, num_classes).accuracy;
-  const auto& e2e = run.stats.stage(tel::Stage::kEndToEnd);
-  row.p50_ns = e2e.p50_ns;
-  row.p99_ns = e2e.p99_ns;
-  row.p999_ns = e2e.p999_ns;
-  row.lookup_p99_ns = run.stats.stage(tel::Stage::kFlowLookup).p99_ns;
-  row.extract_p99_ns =
-      run.stats.stage(tel::Stage::kFeatureExtract).p99_ns;
-  row.infer_p99_ns = run.stats.stage(tel::Stage::kInferFlush).p99_ns;
-  row.dwell_p99_ns = run.stats.stage(tel::Stage::kRingDwell).p99_ns;
-  return row;
-}
-
-struct SwapRow {
-  std::string model;
-  std::size_t shards = 0;
-  std::size_t threads = 0;
-  std::uint64_t packets = 0;
-  std::uint64_t decisions = 0;
-  std::uint64_t swaps = 0;
-  /// Total per-shard serving gap (flush + engine rebuild), ms.
-  double swap_latency_ms = 0.0;
-  double wall_ms = 0.0;
-  double pps = 0.0;
-  /// Same-config no-swap throughput, for the degradation ratio.
-  double baseline_pps = 0.0;
-};
-
-SwapRow RunSwap(const std::string& name,
-                std::shared_ptr<const rt::LoweredModel> v1,
-                std::shared_ptr<const rt::LoweredModel> v2,
-                rt::FeatureKind kind,
-                const std::vector<tr::TracePacket>& trace, std::size_t shards,
-                bool mt, double baseline_pps) {
-  rt::StreamServerOptions opts;
-  opts.num_shards = shards;
-  opts.flows_per_shard = 1 << 10;
-  opts.feature = kind;
-  opts.multithreaded = mt;
-  rt::StreamServer server(std::move(v1), opts, 1);
-  const auto run = ev::ServeTraceWithSwap(server, trace, trace.size() / 2,
-                                          std::move(v2), 2);
-  SwapRow row;
-  row.model = name;
-  row.shards = shards;
-  row.threads = mt ? shards : 0;
-  row.packets = run.stats.packets;
-  row.decisions = run.stats.decisions;
-  row.swaps = run.stats.swaps;
-  row.swap_latency_ms = run.stats.swap_wall_ms;
-  row.wall_ms = run.wall_ms;
-  row.pps = run.packets_per_sec;
-  row.baseline_pps = baseline_pps;
-  return row;
-}
 
 // ---- O(delta) update latency sweep ----------------------------------------
 // Compares the two ways a new model version reaches a serving table:
@@ -188,8 +67,6 @@ struct UpdateRow {
   std::uint64_t checksum_delta = 0;
   std::uint64_t checksum_reseal = 0;
 };
-
-namespace dp = pegasus::dataplane;
 
 std::uint64_t LookupChecksum(const dp::MatchActionTable& table,
                              const dp::PhvLayout& layout,
@@ -307,113 +184,43 @@ std::vector<UpdateRow> RunUpdateSweep() {
   return out;
 }
 
+// ---- sampling cost ----------------------------------------------------------
+
+struct LatencyRow {
+  std::string mode;
+  std::uint32_t sample_every = 0;
+  double wall_ms = 0.0;
+  double pps = 0.0;
+  double p50_ns = 0.0;
+  double p99_ns = 0.0;
+  double p999_ns = 0.0;
+};
+
+rt::StreamServerOptions MlpShardOptions() {
+  rt::StreamServerOptions opts;
+  opts.num_shards = 4;
+  opts.flows_per_shard = 1 << 10;
+  opts.feature = rt::FeatureKind::kStat;
+  opts.multithreaded = true;
+  return opts;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace pegasus;
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_stream.json";
+  const std::string dir =
+      out_path.find('/') != std::string::npos
+          ? out_path.substr(0, out_path.rfind('/') + 1)
+          : std::string();
+  const std::string telemetry_path = dir + "BENCH_telemetry.json";
+  const std::string trace_path = dir + "BENCH_trace.json";
   const bench::BenchScale scale = bench::ScaleFromEnv();
-
-  auto prep = eval::Prepare(traffic::PeerRushSpec(scale.peerrush_flows),
-                            /*with_raw_bytes=*/false);
-  std::printf("dataset: %s, %zu flows, %zu classes\n", prep.name.c_str(),
-              prep.dataset.flows.size(), prep.num_classes);
-
-  // ---- models: one stat-path, one seq-path -------------------------------
-  models::MlpBConfig mlp_cfg;
-  mlp_cfg.epochs = scale.epochs_small;
-  auto mlp = models::MlpB::Train(prep.stat.train.x, prep.stat.train.labels,
-                                 prep.stat.train.size(), prep.stat.train.dim,
-                                 prep.num_classes, mlp_cfg);
-  models::CnnMConfig cnn_cfg;
-  cnn_cfg.epochs = scale.epochs_small;
-  auto cnn = models::CnnM::Train(prep.seq.train.x, prep.seq.train.labels,
-                                 prep.seq.train.size(), prep.seq.train.dim,
-                                 prep.num_classes, cnn_cfg);
-
-  runtime::LoweringOptions mlp_lopts;
-  mlp_lopts.stateful_bits_per_flow =
-      runtime::OnlineFlowStateSpec(runtime::FeatureKind::kStat).BitsPerFlow();
-  // Shared so the hot-swap section below can serve the same v1 artifact.
-  auto mlp_lowered = std::make_shared<const runtime::LoweredModel>(
-      compiler::PlaceOnSwitch(mlp->Compiled(), mlp_lopts));
-  runtime::LoweringOptions cnn_lopts;
-  cnn_lopts.stateful_bits_per_flow =
-      runtime::OnlineFlowStateSpec(runtime::FeatureKind::kSeq).BitsPerFlow();
-  auto cnn_lowered = compiler::PlaceOnSwitch(cnn->Compiled(), cnn_lopts);
-
-  // ---- one merged trace over every flow ----------------------------------
-  const auto trace = traffic::MergeTrace(prep.dataset.flows);
-  std::printf("merged trace: %zu packets over %zu flows\n\n", trace.size(),
-              prep.dataset.flows.size());
-
-  struct ModelUnderTest {
-    const char* name;
-    const runtime::LoweredModel* lowered;
-    runtime::FeatureKind kind;
-  };
-  const ModelUnderTest models[] = {
-      {"MLP-B", mlp_lowered.get(), runtime::FeatureKind::kStat},
-      {"CNN-M", &cnn_lowered, runtime::FeatureKind::kSeq},
-  };
-
-  std::vector<RunRow> rows;
-  std::printf("%-7s %-5s %7s %8s %10s %12s %10s %9s %9s %9s\n", "Model",
-              "feat", "shards", "threads", "wall ms", "pkts/s", "pps/shard",
-              "acc", "p50 us", "p99 us");
-  for (const auto& m : models) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      for (const bool mt : {false, true}) {
-        const auto row = RunOne(m.name, *m.lowered, m.kind, trace,
-                                prep.num_classes, shards, mt);
-        std::printf(
-            "%-7s %-5s %7zu %8zu %10.1f %12.0f %10.0f %9.3f %9.2f %9.2f\n",
-            row.model.c_str(), row.feature.c_str(), row.shards, row.threads,
-            row.wall_ms, row.pps, row.pps / static_cast<double>(row.shards),
-            row.accuracy, row.p50_ns / 1e3, row.p99_ns / 1e3);
-        rows.push_back(row);
-      }
-    }
-  }
-
-  // ---- model lifecycle: hitless hot swap ---------------------------------
-  // Retrain MLP-B (more epochs => moved tables) and push it mid-stream.
-  models::MlpBConfig mlp2_cfg;
-  mlp2_cfg.epochs = scale.epochs_small * 2;
-  auto mlp2 = models::MlpB::Train(prep.stat.train.x, prep.stat.train.labels,
-                                  prep.stat.train.size(),
-                                  prep.stat.train.dim, prep.num_classes,
-                                  mlp2_cfg);
-  auto mlp_v2 = std::make_shared<const runtime::LoweredModel>(
-      compiler::PlaceOnSwitch(mlp2->Compiled(), mlp_lopts));
-
-  std::vector<SwapRow> swap_rows;
-  std::printf("\nhot swap (v1 -> v2 at trace midpoint):\n");
-  std::printf("%-7s %7s %8s %14s %12s %12s %9s\n", "Model", "shards",
-              "threads", "swap gap ms", "pkts/s", "baseline", "ratio");
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool mt : {false, true}) {
-      double baseline = 0.0;
-      for (const auto& r : rows) {
-        if (r.model == "MLP-B" && r.shards == shards &&
-            (r.threads > 0) == mt) {
-          baseline = r.pps;
-        }
-      }
-      const auto row = RunSwap("MLP-B", mlp_lowered, mlp_v2,
-                               runtime::FeatureKind::kStat, trace, shards,
-                               mt, baseline);
-      std::printf("%-7s %7zu %8zu %14.3f %12.0f %12.0f %9.3f\n",
-                  row.model.c_str(), row.shards, row.threads,
-                  row.swap_latency_ms, row.pps, row.baseline_pps,
-                  row.baseline_pps > 0.0 ? row.pps / row.baseline_pps : 0.0);
-      swap_rows.push_back(row);
-    }
-  }
 
   // ---- O(delta) update latency vs delta size -----------------------------
   const auto update_rows = RunUpdateSweep();
-  std::printf("\nO(delta) table update (in-place patch vs rebuild+reseal):\n");
+  std::printf("O(delta) table update (in-place patch vs rebuild+reseal):\n");
   std::printf("%9s %9s %12s %12s %9s %8s %6s\n", "entries", "patched",
               "delta ms", "reseal ms", "speedup", "bytes", "match");
   for (const auto& r : update_rows) {
@@ -423,227 +230,42 @@ int main(int argc, char** argv) {
                 r.checksum_delta == r.checksum_reseal ? "ok" : "FAIL");
   }
 
-  // ---- multi-ingest thread scaling ---------------------------------------
-  // The ISSUE 6 headline: aggregate pps as ingest x shard grows, on the
-  // MLP-B stat path. Each config replays the same merged trace through
-  // Serve(PartitionedPacketSource&) — N ingest threads over digest-disjoint
-  // partitions, burst rings, per-shard sinks. Efficiency is pps relative to
-  // the 1-shard/1-ingest run scaled by the shard count (1.0 = perfectly
-  // linear); on a box with fewer cores than ingest+shards the curve flattens
-  // by construction — read it on the CI runner.
-  struct ScalingRow {
-    std::size_t ingest = 0;
-    std::size_t shards = 0;
-    std::string pin_policy;
-    bool shed = false;
-    std::uint64_t offered = 0;  // packets presented at ingest
-    std::uint64_t packets = 0;  // packets actually served
-    std::uint64_t decisions = 0;
-    std::uint64_t shed_ring_full = 0;
-    std::uint64_t shed_misrouted = 0;
-    double shed_rate = 0.0;
-    double wall_ms = 0.0;
-    double pps = 0.0;
-    double efficiency = 0.0;
-  };
-  std::vector<ScalingRow> scaling_rows;
-  auto run_scaling = [&](std::size_t ingest, std::size_t shards, bool shed,
-                         std::size_t queue_capacity,
-                         rt::EscalationPolicy escalation,
-                         rt::CpuPinPolicy pin, double base_pps) {
-    rt::StreamServerOptions opts;
-    opts.num_shards = shards;
-    opts.flows_per_shard = 1 << 10;
-    opts.feature = rt::FeatureKind::kStat;
-    opts.multithreaded = true;
-    opts.num_ingest = ingest;
-    opts.queue_capacity = queue_capacity;
-    opts.shed = shed;
-    opts.escalation = escalation;
-    opts.pin_policy = pin;
-    rt::StreamServer server(mlp_lowered, opts, 1);
-    const auto run = ev::ServeTracePartitioned(server, trace);
-    ScalingRow row;
-    row.ingest = ingest;
-    row.shards = shards;
-    row.pin_policy = rt::CpuPinPolicyName(pin);
-    row.shed = shed;
-    row.packets = run.stats.packets;
-    row.offered = run.stats.packets + run.stats.shed.total();
-    row.decisions = run.stats.decisions;
-    row.shed_ring_full = run.stats.shed.ring_full;
-    row.shed_misrouted = run.stats.shed.misrouted;
-    row.shed_rate = row.offered > 0
-                        ? static_cast<double>(run.stats.shed.total()) /
-                              static_cast<double>(row.offered)
-                        : 0.0;
-    row.wall_ms = run.wall_ms;
-    row.pps = run.packets_per_sec;
-    row.efficiency =
-        base_pps > 0.0
-            ? row.pps / (base_pps * static_cast<double>(shards))
-            : 1.0;
-    scaling_rows.push_back(row);
-    return row;
-  };
+  // ---- MLP-B on the stat path over one merged trace ----------------------
+  auto prep = eval::Prepare(traffic::PeerRushSpec(scale.peerrush_flows),
+                            /*with_raw_bytes=*/false);
+  models::MlpBConfig mlp_cfg;
+  mlp_cfg.epochs = scale.epochs_small;
+  auto mlp = models::MlpB::Train(prep.stat.train.x, prep.stat.train.labels,
+                                 prep.stat.train.size(), prep.stat.train.dim,
+                                 prep.num_classes, mlp_cfg);
+  runtime::LoweringOptions lopts;
+  lopts.stateful_bits_per_flow =
+      runtime::OnlineFlowStateSpec(runtime::FeatureKind::kStat).BitsPerFlow();
+  const auto mlp_lowered = std::make_shared<const runtime::LoweredModel>(
+      compiler::PlaceOnSwitch(mlp->Compiled(), lopts));
+  const auto trace = traffic::MergeTrace(prep.dataset.flows);
+  std::printf("\ndataset: %s, %zu flows; merged trace: %zu packets\n",
+              prep.name.c_str(), prep.dataset.flows.size(), trace.size());
 
-  // Every ingest x shard config runs unpinned (kNone) and pinned
-  // (kCompact): the pinned-vs-unpinned efficiency delta is the thread-
-  // placement payoff (both efficiencies are against the same unpinned 1x1
-  // base, so the two rows of one config are directly comparable). On a
-  // box with fewer cores than threads pinning cannot help — read the
-  // delta on the CI runner.
-  std::printf("\nmulti-ingest scaling (MLP-B, burst rings, shed off):\n");
-  std::printf("%7s %7s %-8s %10s %12s %11s %10s\n", "ingest", "shards",
-              "pin", "wall ms", "pkts/s", "efficiency", "shed rate");
-  double base_pps = 0.0;
-  for (const std::size_t shards :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    const std::size_t ingest = std::max<std::size_t>(1, shards / 2);
-    for (const rt::CpuPinPolicy pin :
-         {rt::CpuPinPolicy::kNone, rt::CpuPinPolicy::kCompact}) {
-      const auto row = run_scaling(ingest, shards, /*shed=*/false, 1 << 12,
-                                   rt::EscalationPolicy{}, pin, base_pps);
-      if (shards == 1 && pin == rt::CpuPinPolicy::kNone) base_pps = row.pps;
-      std::printf("%7zu %7zu %-8s %10.1f %12.0f %11.2f %10.4f\n", row.ingest,
-                  row.shards, row.pin_policy.c_str(), row.wall_ms, row.pps,
-                  row.efficiency, row.shed_rate);
-    }
-  }
-  // Overload demo: a deliberately tiny ring with an immediate (zero-budget)
-  // escalation ladder sheds under burst pressure instead of stalling ingest
-  // — the counters land in the artifact so the sweep documents the knob.
-  {
-    const auto row = run_scaling(/*ingest=*/1, /*shards=*/1, /*shed=*/true,
-                                 /*queue_capacity=*/64,
-                                 rt::EscalationPolicy::Immediate(),
-                                 rt::CpuPinPolicy::kNone, base_pps);
-    std::printf("%7zu %7zu %-8s %10.1f %12.0f %11s %10.4f  (shed demo)\n",
-                row.ingest, row.shards, row.pin_policy.c_str(), row.wall_ms,
-                row.pps, "-", row.shed_rate);
-  }
-
-  // ---- packet I/O: pcap replay -------------------------------------------
-  // Export the same merged trace as a capture (identical interleaving: the
-  // default MergeOptions seed matches the in-memory trace above), then
-  // serve straight from the file.
-  const std::string dir =
-      out_path.find('/') != std::string::npos
-          ? out_path.substr(0, out_path.rfind('/') + 1)
-          : std::string();
-  const std::string pcap_path = dir + "bench_replay.pcap";
-  const std::string replay_path = dir + "BENCH_replay.json";
-  io::PcapExportOptions eopts;
-  eopts.merged = true;
-  const auto pcap_records =
-      io::WriteDatasetPcap(pcap_path, prep.dataset, eopts);
-  const auto labeler = io::ImportOptionsFor(prep.dataset).labeler;
-  const std::uint64_t span_us =
-      trace.empty() ? 0 : trace.back().ts_us - trace.front().ts_us;
-
-  struct ReplayRow {
-    std::string clock;
-    double speedup = 0.0;  // 0 = afap
-    std::size_t shards = 0;
-    std::size_t threads = 0;
-    std::uint64_t packets = 0;
-    std::uint64_t decisions = 0;
-    double wall_ms = 0.0;
-    double pps = 0.0;
-    std::uint64_t trace_span_us = 0;
-    std::uint64_t max_lag_us = 0;
-  };
-  std::vector<ReplayRow> replay_rows;
-  auto run_replay = [&](io::ReplayOptions ropts, std::size_t shards,
-                        bool mt) {
-    io::PcapPacketSource source(pcap_path, labeler);
-    io::TraceReplayer replayer(source, ropts);
-    rt::StreamServerOptions opts;
-    opts.num_shards = shards;
-    opts.flows_per_shard = 1 << 10;
-    opts.feature = rt::FeatureKind::kStat;
-    opts.multithreaded = mt;
-    rt::StreamServer server(mlp_lowered, opts, 1);
-    const auto run = ev::ServeTrace(server, replayer);
-    ReplayRow row;
-    row.clock = io::ReplayClockName(ropts.clock);
-    row.speedup =
-        ropts.clock == io::ReplayClock::kSpeedup ? ropts.speedup : 0.0;
-    row.shards = shards;
-    row.threads = mt ? shards : 0;
-    row.packets = run.stats.packets;
-    row.decisions = run.stats.decisions;
-    row.wall_ms = run.wall_ms;
-    row.pps = run.packets_per_sec;
-    row.trace_span_us = replayer.stats().TraceSpanUs();
-    row.max_lag_us = replayer.stats().max_lag_us;
-    replay_rows.push_back(row);
-    return row;
-  };
-
-  std::printf("\npcap replay (%s, %llu records, %.2f s span):\n",
-              pcap_path.c_str(),
-              static_cast<unsigned long long>(pcap_records),
-              static_cast<double>(span_us) / 1e6);
-  std::printf("%-9s %9s %7s %8s %10s %12s %11s\n", "clock", "speedup",
-              "shards", "threads", "wall ms", "pkts/s", "max lag us");
-  io::ReplayOptions afap;
-  // Paced replay targets ~1s of wall time regardless of the trace span.
-  io::ReplayOptions paced;
-  paced.clock = io::ReplayClock::kSpeedup;
-  paced.speedup = std::max(1.0, static_cast<double>(span_us) / 1e6);
-  for (const auto& [ropts, shards, mt] :
-       {std::tuple{afap, std::size_t{1}, false},
-        std::tuple{afap, std::size_t{4}, true},
-        std::tuple{paced, std::size_t{1}, false}}) {
-    const auto row = run_replay(ropts, shards, mt);
-    std::printf("%-9s %9.1f %7zu %8zu %10.1f %12.0f %11llu\n",
-                row.clock.c_str(), row.speedup, row.shards, row.threads,
-                row.wall_ms, row.pps,
-                static_cast<unsigned long long>(row.max_lag_us));
-  }
-
-  // ---- sampling cost + latency quantiles ---------------------------------
-  // Two arms on the same config (MLP-B stat, 4 shards, MT, best of 5):
+  // Two arms on the same config:
   //   unsampled — sample_every = 0: the always-on counters only (the
   //               baseline);
-  //   sampled   — 1-in-32 stage-latency sampling, what every bench row
-  //               above pays (compare_index_bench.py --latency gates the
-  //               sampled/unsampled ratio at 2% in CI).
-  // The sampled arm also leaves the full TelemetrySnapshot JSON artifact,
-  // and a separate swap+shed run dumps the flight recorder for Perfetto.
-  const std::string telemetry_path = dir + "BENCH_telemetry.json";
-  const std::string trace_path = dir + "BENCH_trace.json";
-  struct LatencyRow {
-    std::string mode;
-    double wall_ms = 0.0;
-    double pps = 0.0;
-    double p50_ns = 0.0;
-    double p99_ns = 0.0;
-    double p999_ns = 0.0;
-  };
-  std::vector<LatencyRow> latency_rows(2);
+  //   sampled   — 1-in-32 stage-latency sampling.
   // Arms interleave inside the rep loop and each keeps its best rep: a
   // machine-load drift mid-section biases every arm equally instead of
-  // landing on one, which is what lets the CI ratio gate sit at 2%.
+  // landing on one. The sampled arm's last rep leaves the TelemetrySnapshot
+  // JSON artifact.
   constexpr int kLatencyReps = 5;
-  const std::pair<const char*, std::uint32_t> kArms[2] = {
-      {"unsampled", 0},
-      {"sampled", kBenchSampleEvery},
-  };
+  std::vector<LatencyRow> latency_rows(2);
+  latency_rows[0].mode = "unsampled";
+  latency_rows[1].mode = "sampled";
+  latency_rows[1].sample_every = kBenchSampleEvery;
   for (int rep = 0; rep < kLatencyReps; ++rep) {
-    for (int arm = 0; arm < 2; ++arm) {
-      const auto& [mode, every] = kArms[arm];
-      rt::StreamServerOptions opts;
-      opts.num_shards = 4;
-      opts.flows_per_shard = 1 << 10;
-      opts.feature = rt::FeatureKind::kStat;
-      opts.multithreaded = true;
-      opts.telemetry.sample_every = every;
+    for (LatencyRow& row : latency_rows) {
+      rt::StreamServerOptions opts = MlpShardOptions();
+      opts.telemetry.sample_every = row.sample_every;
       rt::StreamServer server(mlp_lowered, opts, 1);
       const auto run = ev::ServeTrace(server, trace);
-      LatencyRow& row = latency_rows[arm];
-      row.mode = mode;
       if (run.packets_per_sec > row.pps) {
         row.wall_ms = run.wall_ms;
         row.pps = run.packets_per_sec;
@@ -652,7 +274,7 @@ int main(int argc, char** argv) {
         row.p99_ns = e2e.p99_ns;
         row.p999_ns = e2e.p999_ns;
       }
-      if (every != 0 && rep + 1 == kLatencyReps) {
+      if (row.sample_every != 0 && rep + 1 == kLatencyReps) {
         std::ofstream tf(telemetry_path);
         tel::WriteJson(run.stats, tf);
       }
@@ -671,15 +293,11 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", telemetry_path.c_str());
 
-  // Flight-recorder artifact: an MT run with a midpoint hot swap on a
-  // deliberately tiny ring, so the dump shows swap begin/apply/publish AND
-  // shed markers. tools/trace_to_chrome.py turns it into a Perfetto trace.
+  // Flight-recorder artifact: a run with a midpoint hot swap (v1 published
+  // again as version 2) on a deliberately small ring, so the dump shows
+  // swap begin/apply/publish AND shed markers.
   {
-    rt::StreamServerOptions opts;
-    opts.num_shards = 4;
-    opts.flows_per_shard = 1 << 10;
-    opts.feature = rt::FeatureKind::kStat;
-    opts.multithreaded = true;
+    rt::StreamServerOptions opts = MlpShardOptions();
     // Moderate overload: small enough to shed visibly under burst
     // pressure, big enough that packet spans still dominate the dump.
     opts.queue_capacity = 1 << 9;
@@ -689,24 +307,13 @@ int main(int argc, char** argv) {
     opts.telemetry.sample_every = kBenchSampleEvery;
     opts.telemetry.trace_events = 4096;
     rt::StreamServer server(mlp_lowered, opts, 1);
-    (void)ev::ServeTraceWithSwap(server, trace, trace.size() / 2, mlp_v2, 2);
+    (void)ev::ServeTraceWithSwap(server, trace, trace.size() / 2,
+                                 mlp_lowered, 2);
     std::ofstream tf(trace_path);
     server.WriteTrace(tf);
     std::printf("wrote %s (%zu flight-recorder events; view with "
                 "tools/trace_to_chrome.py)\n",
                 trace_path.c_str(), server.DumpTrace().size());
-  }
-
-  // ---- scaling curve ------------------------------------------------------
-  std::printf("\nscaling (multi-threaded, 4 vs 1 shard speedup):\n");
-  for (const auto& m : models) {
-    double pps1 = 0.0, pps4 = 0.0;
-    for (const auto& r : rows) {
-      if (r.model != m.name || r.threads == 0) continue;
-      if (r.shards == 1) pps1 = r.pps;
-      if (r.shards == 4) pps4 = r.pps;
-    }
-    std::printf("  %-7s %.2fx\n", m.name, pps1 > 0.0 ? pps4 / pps1 : 0.0);
   }
 
   // ---- JSON artifact ------------------------------------------------------
@@ -718,50 +325,9 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n  \"bench\": \"stream\",\n  \"build_type\": \"%s\",\n"
                "  \"git_sha\": \"%s\",\n  \"dataset\": \"%s\",\n"
-               "  \"trace_packets\": %zu,\n  \"runs\": [\n",
+               "  \"trace_packets\": %zu,\n  \"update_runs\": [\n",
                bench::BuildType(), bench::GitSha(), prep.name.c_str(),
                trace.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const RunRow& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"model\": \"%s\", \"feature\": \"%s\", \"shards\": %zu, "
-        "\"threads\": %zu, \"packets\": %llu, \"decisions\": %llu, "
-        "\"warmup\": %llu, \"evictions\": %llu, \"batches\": %llu, "
-        "\"wall_ms\": %.3f, \"packets_per_sec\": %.1f, "
-        "\"packets_per_sec_per_shard\": %.1f, \"accuracy\": %.4f, "
-        "\"latency_p50_ns\": %.0f, \"latency_p99_ns\": %.0f, "
-        "\"latency_p999_ns\": %.0f, \"lookup_p99_ns\": %.0f, "
-        "\"extract_p99_ns\": %.0f, \"infer_flush_p99_ns\": %.0f, "
-        "\"ring_dwell_p99_ns\": %.0f}%s\n",
-        r.model.c_str(), r.feature.c_str(), r.shards, r.threads,
-        static_cast<unsigned long long>(r.packets),
-        static_cast<unsigned long long>(r.decisions),
-        static_cast<unsigned long long>(r.warmup),
-        static_cast<unsigned long long>(r.evictions),
-        static_cast<unsigned long long>(r.batches), r.wall_ms, r.pps,
-        r.pps / static_cast<double>(r.shards), r.accuracy, r.p50_ns,
-        r.p99_ns, r.p999_ns, r.lookup_p99_ns, r.extract_p99_ns,
-        r.infer_p99_ns, r.dwell_p99_ns,
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"swap_runs\": [\n");
-  for (std::size_t i = 0; i < swap_rows.size(); ++i) {
-    const SwapRow& r = swap_rows[i];
-    std::fprintf(
-        f,
-        "    {\"model\": \"%s\", \"shards\": %zu, \"threads\": %zu, "
-        "\"packets\": %llu, \"decisions\": %llu, \"swaps\": %llu, "
-        "\"swap_latency_ms\": %.4f, \"wall_ms\": %.3f, "
-        "\"packets_per_sec\": %.1f, \"baseline_packets_per_sec\": %.1f}%s\n",
-        r.model.c_str(), r.shards, r.threads,
-        static_cast<unsigned long long>(r.packets),
-        static_cast<unsigned long long>(r.decisions),
-        static_cast<unsigned long long>(r.swaps), r.swap_latency_ms,
-        r.wall_ms, r.pps, r.baseline_pps,
-        i + 1 < swap_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"update_runs\": [\n");
   for (std::size_t i = 0; i < update_rows.size(); ++i) {
     const UpdateRow& r = update_rows[i];
     std::fprintf(
@@ -776,26 +342,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.checksum_reseal),
         i + 1 < update_rows.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"scaling_runs\": [\n");
-  for (std::size_t i = 0; i < scaling_rows.size(); ++i) {
-    const ScalingRow& r = scaling_rows[i];
-    std::fprintf(
-        f,
-        "    {\"ingest\": %zu, \"shards\": %zu, \"pin_policy\": \"%s\", "
-        "\"shed\": %s, "
-        "\"offered\": %llu, \"packets\": %llu, \"decisions\": %llu, "
-        "\"shed_ring_full\": %llu, \"shed_misrouted\": %llu, "
-        "\"shed_rate\": %.6f, \"wall_ms\": %.3f, "
-        "\"packets_per_sec\": %.1f, \"scaling_efficiency\": %.4f}%s\n",
-        r.ingest, r.shards, r.pin_policy.c_str(), r.shed ? "true" : "false",
-        static_cast<unsigned long long>(r.offered),
-        static_cast<unsigned long long>(r.packets),
-        static_cast<unsigned long long>(r.decisions),
-        static_cast<unsigned long long>(r.shed_ring_full),
-        static_cast<unsigned long long>(r.shed_misrouted), r.shed_rate,
-        r.wall_ms, r.pps, r.efficiency,
-        i + 1 < scaling_rows.size() ? "," : "");
-  }
   std::fprintf(f, "  ],\n  \"latency_runs\": [\n");
   for (std::size_t i = 0; i < latency_rows.size(); ++i) {
     const LatencyRow& r = latency_rows[i];
@@ -804,43 +350,11 @@ int main(int argc, char** argv) {
         "    {\"mode\": \"%s\", \"sample_every\": %u, \"wall_ms\": %.3f, "
         "\"packets_per_sec\": %.1f, \"latency_p50_ns\": %.0f, "
         "\"latency_p99_ns\": %.0f, \"latency_p999_ns\": %.0f}%s\n",
-        r.mode.c_str(), r.mode == "sampled" ? kBenchSampleEvery : 0u,
-        r.wall_ms, r.pps, r.p50_ns, r.p99_ns, r.p999_ns,
-        i + 1 < latency_rows.size() ? "," : "");
+        r.mode.c_str(), r.sample_every, r.wall_ms, r.pps, r.p50_ns,
+        r.p99_ns, r.p999_ns, i + 1 < latency_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());
-
-  // ---- replay JSON artifact ----------------------------------------------
-  FILE* rf = std::fopen(replay_path.c_str(), "w");
-  if (rf == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", replay_path.c_str());
-    return 1;
-  }
-  std::fprintf(rf,
-               "{\n  \"bench\": \"replay\",\n  \"build_type\": \"%s\",\n"
-               "  \"git_sha\": \"%s\",\n  \"dataset\": \"%s\",\n"
-               "  \"pcap_records\": %llu,\n  \"runs\": [\n",
-               bench::BuildType(), bench::GitSha(), prep.name.c_str(),
-               static_cast<unsigned long long>(pcap_records));
-  for (std::size_t i = 0; i < replay_rows.size(); ++i) {
-    const ReplayRow& r = replay_rows[i];
-    std::fprintf(
-        rf,
-        "    {\"clock\": \"%s\", \"speedup\": %.1f, \"shards\": %zu, "
-        "\"threads\": %zu, \"packets\": %llu, \"decisions\": %llu, "
-        "\"wall_ms\": %.3f, \"packets_per_sec\": %.1f, "
-        "\"trace_span_us\": %llu, \"max_lag_us\": %llu}%s\n",
-        r.clock.c_str(), r.speedup, r.shards, r.threads,
-        static_cast<unsigned long long>(r.packets),
-        static_cast<unsigned long long>(r.decisions), r.wall_ms, r.pps,
-        static_cast<unsigned long long>(r.trace_span_us),
-        static_cast<unsigned long long>(r.max_lag_us),
-        i + 1 < replay_rows.size() ? "," : "");
-  }
-  std::fprintf(rf, "  ]\n}\n");
-  std::fclose(rf);
-  std::printf("wrote %s\n", replay_path.c_str());
   return 0;
 }

@@ -10,6 +10,7 @@
 // send real-time alerts").
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "compiler/compiler.hpp"
@@ -43,7 +44,8 @@ int main() {
               threshold);
 
   // ---- serve a mixed benign + attack stream ------------------------------
-  auto lowered = compiler::PlaceOnSwitch(model->Compiled());
+  const auto lowered = std::make_shared<const runtime::LoweredModel>(
+      compiler::PlaceOnSwitch(model->Compiled()));
 
   const auto profiles = traffic::AttackProfiles();
   // Attack flows carry label -(family index + 1); benign labels stay >= 0.

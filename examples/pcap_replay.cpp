@@ -14,6 +14,7 @@
 //    the paced replay runs.
 #include <cstdio>
 #include <iostream>
+#include <memory>
 
 #include "compiler/compiler.hpp"
 #include "eval/experiment.hpp"
@@ -52,7 +53,8 @@ int main() {
   runtime::LoweringOptions lopts;
   lopts.stateful_bits_per_flow =
       runtime::OnlineFlowStateSpec(runtime::FeatureKind::kSeq).BitsPerFlow();
-  auto lowered = compiler::PlaceOnSwitch(model->Compiled(), lopts);
+  const auto lowered = std::make_shared<const runtime::LoweredModel>(
+      compiler::PlaceOnSwitch(model->Compiled(), lopts));
 
   // ---- 3. timed replay straight from the capture -------------------------
   io::PcapPacketSource source(path, iopts.labeler);

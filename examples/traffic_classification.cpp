@@ -9,6 +9,7 @@
 // state in the shard's FlowTable, and full windows are classified in
 // batches through the shard's InferenceEngine.
 #include <cstdio>
+#include <memory>
 
 #include "compiler/compiler.hpp"
 #include "eval/experiment.hpp"
@@ -36,10 +37,11 @@ int main() {
   // and the flow-table stats below quote the same bits/flow.
   lopts.stateful_bits_per_flow =
       runtime::OnlineFlowStateSpec(runtime::FeatureKind::kSeq).BitsPerFlow();
-  auto switch_model = compiler::PlaceOnSwitch(model->Compiled(), lopts);
-  const auto rep = switch_model.Report();
+  const auto switch_model = std::make_shared<const runtime::LoweredModel>(
+      compiler::PlaceOnSwitch(model->Compiled(), lopts));
+  const auto rep = switch_model->Report();
   std::printf("switch: %zu stages, %.2f%% SRAM, %.2f%% TCAM, %zu b/flow\n",
-              switch_model.StagesUsed(), rep.SramPct({}), rep.TcamPct({}),
+              switch_model->StagesUsed(), rep.SramPct({}), rep.TcamPct({}),
               rep.stateful_bits_per_flow);
 
   // ---- streaming serving -------------------------------------------------

@@ -328,15 +328,7 @@ void MatchActionTable::RunProgram(Phv& phv, const ActionRuns& program,
 }
 
 bool MatchActionTable::Apply(Phv& phv) const {
-  if (index_) {
-    const std::int32_t pos = FindRow(phv);
-    if (pos != MatchIndex::kMiss) {
-      RunProgram(phv, hit_program_, index_->ActionData(pos));
-      return true;
-    }
-    RunProgram(phv, miss_program_, miss_data_);
-    return false;
-  }
+  if (index_) return ApplyBatch(std::span<Phv>(&phv, 1)) == 1;
   if (auto hit = Lookup(phv)) {
     RunProgram(phv, hit_program_, Narrow(entries_[*hit].action_data));
     return true;

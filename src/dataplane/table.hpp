@@ -158,9 +158,14 @@ class MatchActionTable {
                       std::vector<std::int64_t> data);
 
   /// Looks up the PHV and applies the hit (or miss) action program.
-  /// Returns true on hit. Throws std::out_of_range, before writing any
-  /// field, when the program targets a field past the PHV or reads a data
-  /// word past the matched entry's (or the miss) action data.
+  /// Returns true on hit. Sealed, it is ApplyBatch over a one-row batch,
+  /// checks included: before writing any field it throws std::out_of_range
+  /// when a key field or either program's target lies past the PHV, or
+  /// when the hit program reads past the index's shortest action slice or
+  /// the miss program past the miss data, whether this PHV hits or misses.
+  /// Unsealed, it scans the entries and checks only the program it runs,
+  /// against the matched entry's (or the miss) action data, also throwing
+  /// std::out_of_range before any write.
   bool Apply(Phv& phv) const;
 
   /// Batch counterpart of Apply with identical per-packet results. Sealed,
@@ -171,9 +176,9 @@ class MatchActionTable {
   /// MatchIndex::kBatchRows PHVs, one MatchIndex::FindBatch walk reads the
   /// keys straight off the PHVs' int32 words, and each PHV's hit (or miss)
   /// program runs in order, as the compiled runs' straight int32 loops
-  /// over its contiguous fields: Apply's lookup-then-act order per packet.
-  /// Unsealed, it calls Apply on each packet in turn. Returns the number
-  /// of hits.
+  /// over its contiguous fields, lookup then act per packet. A sealed
+  /// Apply is this call on one PHV. Unsealed, it calls Apply on each
+  /// packet in turn. Returns the number of hits.
   std::size_t ApplyBatch(std::span<Phv> batch) const;
 
   /// Index of the matching entry, if any (for tests/debugging).

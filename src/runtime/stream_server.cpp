@@ -286,11 +286,6 @@ StreamServer::StreamServer(std::shared_ptr<const LoweredModel> model,
   }
 }
 
-StreamServer::StreamServer(const LoweredModel& model, StreamServerOptions opts)
-    : StreamServer(
-          std::shared_ptr<const LoweredModel>(std::shared_ptr<void>{}, &model),
-          opts) {}
-
 StreamServer::~StreamServer() {
   if (running_) Stop();
 }

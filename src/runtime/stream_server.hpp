@@ -339,12 +339,6 @@ class StreamServer {
   /// even if the registry drops it.
   StreamServer(std::shared_ptr<const LoweredModel> model,
                StreamServerOptions opts = {}, std::uint64_t version = 1);
-
-  /// Borrowing convenience (pre-lifecycle API): `model` must outlive the
-  /// server AND any model published later via SwapModel must not be needed
-  /// past the server either — prefer the shared_ptr overload.
-  explicit StreamServer(const LoweredModel& model,
-                        StreamServerOptions opts = {});
   ~StreamServer();
 
   StreamServer(const StreamServer&) = delete;

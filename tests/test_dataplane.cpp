@@ -511,6 +511,22 @@ TEST(Table, ProgramBoundsThrowOutOfRange) {
   EXPECT_THROW(t->Apply(miss), std::out_of_range);
   std::vector<dp::Phv> batch(2, miss);
   EXPECT_THROW(t->ApplyBatch(std::span<dp::Phv>(batch)), std::out_of_range);
+  // A sealed Apply is a one-row ApplyBatch, so it checks both programs: a
+  // hit on a PHV too narrow for the miss program's target throws too,
+  // before the hit program writes.
+  const auto narrow = build({{dp::ActionOp::Kind::kSetFromData, out, 0, 0, -1}},
+                            true);
+  narrow->SetMissProgram(
+      {{dp::ActionOp::Kind::kSetConst, layout.NumFields() + 3, 0, 5, -1}},
+      {});
+  dp::Phv hit(layout);
+  hit.Set(key, 3);
+  EXPECT_THROW(narrow->Apply(hit), std::out_of_range);
+  EXPECT_EQ(hit.Get(out), 0);
+  std::vector<dp::Phv> hits(2, hit);
+  EXPECT_THROW(narrow->ApplyBatch(std::span<dp::Phv>(hits)),
+               std::out_of_range);
+  EXPECT_EQ(hits[0].Get(out), 0);
 }
 
 // -------------------------------------------------------------- pipeline

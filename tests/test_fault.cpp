@@ -209,7 +209,7 @@ TEST(FaultInjector, SiteNamesAreStable) {
 TEST(FaultSwap, SingleThreadedPublishFailureRollsBackAppliedShards) {
   const auto& fx = SharedFixture();
   auto opts = BaseOptions(4);
-  rt::StreamServer server(fx.v1, opts);
+  rt::StreamServer server(Alias(fx.v1), opts);
   // Serve the first half so shards hold live state and partial batches.
   const std::size_t half = fx.trace.size() / 2;
   for (std::size_t i = 0; i < half; ++i) server.Push(fx.trace[i]);
@@ -236,7 +236,7 @@ TEST(FaultSwap, SingleThreadedPublishFailureRollsBackAppliedShards) {
   EXPECT_EQ(stats.decisions + stats.warmup, stats.packets);
   // Decisions match a clean run with the swap at the same packet boundary:
   // the failed attempt was hitless.
-  rt::StreamServer clean(fx.v1, opts);
+  rt::StreamServer clean(Alias(fx.v1), opts);
   auto clean_run = ev::ServeTraceWithSwap(clean, fx.trace, half,
                                           Alias(fx.v2), 2);
   auto got = server.TakeDecisions();
@@ -259,7 +259,7 @@ TEST(FaultSwap, MultiThreadedProbeFailureLeavesRingsUntouched) {
   const auto& fx = SharedFixture();
   auto opts = BaseOptions(2);
   opts.multithreaded = true;
-  rt::StreamServer server(fx.v1, opts);
+  rt::StreamServer server(Alias(fx.v1), opts);
   server.Start();
   const std::size_t half = fx.trace.size() / 2;
   for (std::size_t i = 0; i < half; ++i) server.Push(fx.trace[i]);
@@ -294,10 +294,10 @@ TEST(FaultInference, TransientFaultWithinRetryBudgetChangesNothing) {
   auto opts = BaseOptions(1);
   opts.inference_retry_backoff_us = 1;  // keep the test fast
 
-  rt::StreamServer clean(fx.v1, opts);
+  rt::StreamServer clean(Alias(fx.v1), opts);
   const auto want = clean.Serve(fx.trace);
 
-  rt::StreamServer server(fx.v1, opts);
+  rt::StreamServer server(Alias(fx.v1), opts);
   rt::FaultPlan plan;
   // Two consecutive throws on the first flush: retries 3 > 2, recovered.
   plan.Arm(rt::FaultSite::kInferenceFault, 0, 1, 2);
@@ -321,7 +321,7 @@ TEST(FaultInference, PersistentFaultShedsTheBatchAndKeepsServing) {
   opts.inference_retries = 2;
   opts.inference_retry_backoff_us = 1;
 
-  rt::StreamServer server(fx.v1, opts);
+  rt::StreamServer server(Alias(fx.v1), opts);
   rt::FaultPlan plan;
   // More consecutive throws than the retry budget (2 retries = 3 attempts)
   // on the first flush only: that batch sheds, later batches are clean.
@@ -353,7 +353,7 @@ TEST(FaultWatchdog, FlagsStuckWorkerThenSelfClears) {
   opts.queue_capacity = 1 << 12;
   opts.watchdog_interval_us = 500;
   opts.watchdog_stall_intervals = 3;
-  rt::StreamServer server(fx.v1, opts);
+  rt::StreamServer server(Alias(fx.v1), opts);
 
   rt::FaultPlan plan;
   // One 80ms heartbeat-frozen sleep after the first burst: far past the
@@ -484,7 +484,7 @@ TEST(FaultSoak, RandomizedPlansNeverBreakAccountingOrHealth) {
     opts.watchdog_interval_us = 500;
     opts.watchdog_stall_intervals = 2;
     opts.inference_retry_backoff_us = 1;
-    rt::StreamServer server(fx.v1, opts);
+    rt::StreamServer server(Alias(fx.v1), opts);
 
     server.Start();
     const std::size_t half = fx.trace.size() / 2;
@@ -540,10 +540,10 @@ TEST(FaultSoak, DisarmedHooksPreserveMtStEquality) {
   const auto& fx = SharedFixture();
   ASSERT_FALSE(rt::FaultInjector::Instance().armed());
   auto opts = BaseOptions(4);
-  rt::StreamServer st(fx.v1, opts);
+  rt::StreamServer st(Alias(fx.v1), opts);
   auto st_dec = st.Serve(fx.trace);
   opts.multithreaded = true;
-  rt::StreamServer mt(fx.v1, opts);
+  rt::StreamServer mt(Alias(fx.v1), opts);
   auto mt_dec = mt.Serve(fx.trace);
   auto sort = [](std::vector<rt::StreamDecision>& v) {
     std::sort(v.begin(), v.end(),

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <utility>
@@ -568,7 +569,8 @@ TEST(PcapDataset, MergedExportPreservesFlowContents) {
 
 /// The 16-dim seq-family model test_stream_server.cpp uses, rebuilt here so
 /// replay parity runs against a real compiled pipeline.
-rt::LoweredModel BuildSeqModel(const tr::Dataset& ds, std::uint64_t seed) {
+std::shared_ptr<const rt::LoweredModel> BuildSeqModel(const tr::Dataset& ds,
+                                                      std::uint64_t seed) {
   const auto offline = tr::ExtractSeqFeatures(ds.flows);
   core::ProgramBuilder b(16);
   auto segs = b.Partition(b.input(), 2, 2);
@@ -583,9 +585,10 @@ rt::LoweredModel BuildSeqModel(const tr::Dataset& ds, std::uint64_t seed) {
   }
   auto sum = b.SumReduce(std::span<const core::ValueId>(maps));
   auto out = b.Map(sum, core::MakeReLU(3), 64);
-  return pegasus::compiler::CompileToSwitch(b.Finish(out), offline.x,
-                                            offline.size())
-      .lowered;
+  return std::make_shared<const rt::LoweredModel>(
+      pegasus::compiler::CompileToSwitch(b.Finish(out), offline.x,
+                                         offline.size())
+          .lowered);
 }
 
 std::map<std::pair<std::uint32_t, std::uint32_t>, std::pair<std::int32_t, float>>

@@ -57,6 +57,12 @@ rt::LoweredModel Build16DimModel(std::span<const float> train_x,
       .lowered;
 }
 
+/// A non-owning handle to a model the test keeps alive past the server.
+std::shared_ptr<const rt::LoweredModel> Alias(const rt::LoweredModel& m) {
+  return std::shared_ptr<const rt::LoweredModel>(std::shared_ptr<void>{},
+                                                 &m);
+}
+
 tr::ExtractOptions EveryPacket() {
   tr::ExtractOptions opts;
   opts.max_samples_per_flow = std::numeric_limits<std::size_t>::max();
@@ -107,7 +113,7 @@ void CheckParity(rt::FeatureKind kind, std::uint64_t model_seed) {
   opts.max_probe = 16;
   opts.batch_size = 32;  // exercises batch flush boundaries
   opts.feature = kind;
-  rt::StreamServer server(lowered, opts);
+  rt::StreamServer server(Alias(lowered), opts);
   const auto decisions = server.Serve(trace);
 
   const auto stats = server.Stats();
@@ -147,7 +153,7 @@ TEST(StreamServer, MultiThreadedMatchesSingleThreadedDecisions) {
     opts.flows_per_shard = 1 << 10;
     opts.feature = rt::FeatureKind::kSeq;
     opts.multithreaded = mt;
-    rt::StreamServer server(lowered, opts);
+    rt::StreamServer server(Alias(lowered), opts);
     auto decisions = server.Serve(trace);
     // Order-normalize: a flow lives on exactly one shard, so the per-flow
     // sequences must agree; only cross-shard interleaving may differ.
@@ -176,10 +182,10 @@ TEST(StreamServer, RejectsMismatchedFeatureFamily) {
   const auto lowered = Build16DimModel(offline.x, offline.size(), 4);
   rt::StreamServerOptions opts;
   opts.feature = rt::FeatureKind::kRaw;  // 480-dim family vs 16-dim model
-  EXPECT_THROW(rt::StreamServer(lowered, opts), std::invalid_argument);
+  EXPECT_THROW(rt::StreamServer(Alias(lowered), opts), std::invalid_argument);
   opts.feature = rt::FeatureKind::kSeq;
   opts.num_shards = 0;
-  EXPECT_THROW(rt::StreamServer(lowered, opts), std::invalid_argument);
+  EXPECT_THROW(rt::StreamServer(Alias(lowered), opts), std::invalid_argument);
 }
 
 TEST(StreamServer, ShardStateIsInaccessibleWhileWorkersRun) {
@@ -189,7 +195,7 @@ TEST(StreamServer, ShardStateIsInaccessibleWhileWorkersRun) {
   rt::StreamServerOptions opts;
   opts.feature = rt::FeatureKind::kSeq;
   opts.multithreaded = true;
-  rt::StreamServer server(lowered, opts);
+  rt::StreamServer server(Alias(lowered), opts);
   server.Start();
   // The workers own the shards until Stop(); reads would race them.
   EXPECT_THROW(server.Stats(), std::logic_error);
@@ -200,7 +206,7 @@ TEST(StreamServer, ShardStateIsInaccessibleWhileWorkersRun) {
   // Single-threaded servers reject Start().
   rt::StreamServerOptions st_opts;
   st_opts.feature = rt::FeatureKind::kSeq;
-  rt::StreamServer st_server(lowered, st_opts);
+  rt::StreamServer st_server(Alias(lowered), st_opts);
   EXPECT_THROW(st_server.Start(), std::logic_error);
 }
 
@@ -219,7 +225,7 @@ TEST(StreamServer, TakeDecisionsReturnsEachRoundOnce) {
   opts.num_shards = 1;
   opts.feature = rt::FeatureKind::kSeq;
 
-  rt::StreamServer server(lowered, opts);
+  rt::StreamServer server(Alias(lowered), opts);
   std::vector<rt::StreamDecision> got;
   std::size_t first_round = 0;
   for (const auto& [begin, end] : {std::pair{std::size_t{0}, half},
@@ -234,10 +240,10 @@ TEST(StreamServer, TakeDecisionsReturnsEachRoundOnce) {
   EXPECT_TRUE(server.TakeDecisions().empty());
   EXPECT_EQ(server.Stats().decisions, got.size());
 
-  rt::StreamServer first_half(lowered, opts);
+  rt::StreamServer first_half(Alias(lowered), opts);
   EXPECT_EQ(first_half.Serve(std::span(trace).first(half)).size(),
             first_round);
-  rt::StreamServer whole(lowered, opts);
+  rt::StreamServer whole(Alias(lowered), opts);
   const auto want = whole.Serve(trace);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -259,7 +265,7 @@ TEST(StreamServer, EvictionPressureRestartsFlowsButKeepsServing) {
   opts.flows_per_shard = 8;  // far fewer slots than the 60 concurrent flows
   opts.max_probe = 4;
   opts.feature = rt::FeatureKind::kSeq;
-  rt::StreamServer server(lowered, opts);
+  rt::StreamServer server(Alias(lowered), opts);
   const auto decisions = server.Serve(trace);
 
   const auto stats = server.Stats();
@@ -290,11 +296,8 @@ std::vector<rt::StreamDecision> ServeWithSwap(
   opts.batch_size = 32;
   opts.feature = rt::FeatureKind::kSeq;
   opts.multithreaded = mt;
-  rt::StreamServer server(v1, opts);
-  auto run = ev::ServeTraceWithSwap(
-      server, trace, swap_at,
-      std::shared_ptr<const rt::LoweredModel>(std::shared_ptr<void>{}, &v2),
-      2);
+  rt::StreamServer server(Alias(v1), opts);
+  auto run = ev::ServeTraceWithSwap(server, trace, swap_at, Alias(v2), 2);
   EXPECT_EQ(run.stats.swaps, shards) << "one swap application per shard";
   EXPECT_EQ(run.stats.active_version, 2u);
   // Engines retired by the swap fold their counters into the shard carry:
@@ -324,7 +327,7 @@ TEST(StreamServer, HotSwapIsHitlessAndDeterministic) {
     opts.flows_per_shard = 1 << 10;
     opts.batch_size = 32;
     opts.feature = rt::FeatureKind::kSeq;
-    rt::StreamServer server(m, opts);
+    rt::StreamServer server(Alias(m), opts);
     return StreamByPacket(server.Serve(trace));
   };
   const auto pure_v1 = serve_pure(v1);
@@ -389,19 +392,15 @@ TEST(StreamServer, SwapRejectsMismatchedModelsAndStaleVersions) {
   const auto offline = tr::ExtractSeqFeatures(ds.flows);
   const auto v1 = Build16DimModel(offline.x, offline.size(), 31);
   const auto v2 = Build16DimModel(offline.x, offline.size(), 32);
-  auto alias = [](const rt::LoweredModel& m) {
-    return std::shared_ptr<const rt::LoweredModel>(std::shared_ptr<void>{},
-                                                   &m);
-  };
 
   rt::StreamServerOptions opts;
   opts.feature = rt::FeatureKind::kSeq;
-  rt::StreamServer server(alias(v1), opts, 5);
+  rt::StreamServer server(Alias(v1), opts, 5);
   EXPECT_EQ(server.active_version(), 5u);
   EXPECT_THROW(server.SwapModel(nullptr, 6), std::invalid_argument);
-  EXPECT_THROW(server.SwapModel(alias(v2), 5), std::invalid_argument);
-  EXPECT_THROW(server.SwapModel(alias(v2), 4), std::invalid_argument);
-  server.SwapModel(alias(v2), 6);
+  EXPECT_THROW(server.SwapModel(Alias(v2), 5), std::invalid_argument);
+  EXPECT_THROW(server.SwapModel(Alias(v2), 4), std::invalid_argument);
+  server.SwapModel(Alias(v2), 6);
   EXPECT_EQ(server.active_version(), 6u);
   EXPECT_EQ(server.Stats().swaps, 1u);
 }
@@ -417,7 +416,7 @@ TEST(StreamServer, ResetStatsReportsPerPhaseCounters) {
   opts.num_shards = 2;
   opts.flows_per_shard = 1 << 10;
   opts.feature = rt::FeatureKind::kSeq;
-  rt::StreamServer server(lowered, opts);
+  rt::StreamServer server(Alias(lowered), opts);
 
   for (std::size_t i = 0; i < half; ++i) server.Push(trace[i]);
   server.Flush();
@@ -482,7 +481,7 @@ TEST(StreamServer, PartitionedMultiIngestMatchesSingleThreaded) {
     opts.multithreaded = mt;
     opts.num_ingest = ingest;
     opts.burst = 16;  // forces many partial-burst flushes on a small trace
-    rt::StreamServer server(lowered, opts);
+    rt::StreamServer server(Alias(lowered), opts);
     auto run = ev::ServeTracePartitioned(server, trace);
     EXPECT_EQ(run.stats.shed.total(), 0u)
         << "shedding disabled + correct partitioner must shed nothing";
@@ -496,7 +495,7 @@ TEST(StreamServer, PartitionedMultiIngestMatchesSingleThreaded) {
   ref_opts.num_shards = 4;
   ref_opts.flows_per_shard = 1 << 10;
   ref_opts.feature = rt::FeatureKind::kSeq;
-  rt::StreamServer ref_server(lowered, ref_opts);
+  rt::StreamServer ref_server(Alias(lowered), ref_opts);
   auto ref = ref_server.Serve(trace);
   SortByFlow(ref);
 
@@ -524,10 +523,6 @@ TEST(StreamServer, MultiIngestHotSwapKeepsPerFlowDecisions) {
   const auto v1 = Build16DimModel(offline.x, offline.size(), 21);
   const auto v2 = Build16DimModel(offline.x, offline.size(), 22);
   const auto trace = tr::MergeTrace(ds.flows);
-  auto alias = [](const rt::LoweredModel& m) {
-    return std::shared_ptr<const rt::LoweredModel>(std::shared_ptr<void>{},
-                                                   &m);
-  };
 
   auto serve = [&](bool mt, std::size_t ingest) {
     rt::StreamServerOptions opts;
@@ -536,8 +531,8 @@ TEST(StreamServer, MultiIngestHotSwapKeepsPerFlowDecisions) {
     opts.feature = rt::FeatureKind::kSeq;
     opts.multithreaded = mt;
     opts.num_ingest = ingest;
-    rt::StreamServer server(alias(v1), opts, 1);
-    server.SwapModel(alias(v2), 2);
+    rt::StreamServer server(Alias(v1), opts, 1);
+    server.SwapModel(Alias(v2), 2);
     auto run = ev::ServeTracePartitioned(server, trace);
     EXPECT_EQ(run.stats.active_version, 2u);
     SortByFlow(run.decisions);
@@ -571,7 +566,7 @@ TEST(StreamServer, SheddingIsBoundedAndAccounted) {
   opts.shed = true;
   // ...and an immediately-exhausted ladder sheds every stall
   opts.escalation = rt::EscalationPolicy::Immediate();
-  rt::StreamServer server(lowered, opts);
+  rt::StreamServer server(Alias(lowered), opts);
   const auto decisions = server.Serve(trace);
 
   const auto stats = server.Stats();
@@ -611,17 +606,15 @@ TEST(StreamServer, ShedAccountingHoldsAcrossMidStreamSwap) {
   opts.burst = 64;
   opts.shed = true;
   opts.escalation = rt::EscalationPolicy::Immediate();
-  rt::StreamServer server(v1, opts);
+  rt::StreamServer server(Alias(v1), opts);
 
   std::vector<std::uint64_t> offered(opts.num_shards, 0);
   for (const auto& p : trace) {
     ++offered[rt::StreamServer::ShardIndexOf(p.key.digest, opts.num_shards)];
   }
 
-  auto run = ev::ServeTraceWithSwap(
-      server, trace, trace.size() / 2,
-      std::shared_ptr<const rt::LoweredModel>(std::shared_ptr<void>{}, &v2),
-      2);
+  auto run =
+      ev::ServeTraceWithSwap(server, trace, trace.size() / 2, Alias(v2), 2);
   const auto& stats = run.stats;
   EXPECT_EQ(stats.active_version, 2u);
   EXPECT_GT(stats.shed.ring_full, 0u);
@@ -670,7 +663,7 @@ TEST(StreamServer, MisroutedPacketsAreShedNotEnqueued) {
   opts.feature = rt::FeatureKind::kSeq;
   opts.multithreaded = true;
   opts.num_ingest = 2;
-  rt::StreamServer server(lowered, opts);
+  rt::StreamServer server(Alias(lowered), opts);
 
   // A broken partitioner that claims EVERY packet for partition 0: ingest
   // thread 0 then pulls packets whose shard rings belong to thread 1.
@@ -701,17 +694,17 @@ TEST(StreamServer, RejectsBadPartitionAndBurstConfigs) {
   rt::StreamServerOptions opts;
   opts.feature = rt::FeatureKind::kSeq;
   opts.num_ingest = 0;
-  EXPECT_THROW(rt::StreamServer(lowered, opts), std::invalid_argument);
+  EXPECT_THROW(rt::StreamServer(Alias(lowered), opts), std::invalid_argument);
   opts.num_ingest = 1;
   opts.burst = 0;
-  EXPECT_THROW(rt::StreamServer(lowered, opts), std::invalid_argument);
+  EXPECT_THROW(rt::StreamServer(Alias(lowered), opts), std::invalid_argument);
 
   // MT mode requires the source's partition count to match num_ingest.
   opts.burst = 64;
   opts.multithreaded = true;
   opts.num_ingest = 2;
   opts.num_shards = 4;
-  rt::StreamServer server(lowered, opts);
+  rt::StreamServer server(Alias(lowered), opts);
   rt::DigestPartitionedSource three(
       trace, 3, [](std::uint64_t d) { return std::size_t{d % 3}; });
   EXPECT_THROW(server.Serve(three), std::invalid_argument);
@@ -737,7 +730,7 @@ TEST(StreamServer, StatsAccountRegisterFootprint) {
   opts.num_shards = 2;
   opts.flows_per_shard = 256;
   opts.feature = rt::FeatureKind::kSeq;
-  rt::StreamServer server(lowered, opts);
+  rt::StreamServer server(Alias(lowered), opts);
 
   const auto stats = server.Stats();
   const auto spec = rt::OnlineFlowStateSpec(rt::FeatureKind::kSeq);
@@ -796,7 +789,7 @@ TEST(StreamServer, ChurnMtMatchesStUnderEvictionWithPinning) {
     opts.feature = rt::FeatureKind::kStat;
     opts.multithreaded = mt;
     opts.pin_policy = pin;
-    rt::StreamServer server(lowered, opts);
+    rt::StreamServer server(Alias(lowered), opts);
     auto decisions = SortPerFlow(server.Serve(churn.trace));
     const auto stats = server.Stats();
     EXPECT_GT(stats.table.evictions, 1'000u) << "churn must stress eviction";
@@ -835,7 +828,7 @@ TEST(StreamServer, ChurnLayoutsAndEvictionPoliciesDecideConsistently) {
     opts.feature = rt::FeatureKind::kStat;
     opts.table_layout = layout;
     opts.table_eviction = ev;
-    rt::StreamServer server(lowered, opts);
+    rt::StreamServer server(Alias(lowered), opts);
     auto decisions = server.Serve(churn.trace);  // ST: deterministic order
     const auto stats = server.Stats();
     EXPECT_GT(stats.table.evictions, 0u);
@@ -879,11 +872,9 @@ TEST(StreamServer, ChurnMtMatchesStAcrossMidStreamSwapWithPinning) {
     opts.feature = rt::FeatureKind::kStat;
     opts.multithreaded = mt;
     opts.pin_policy = mt ? rt::CpuPinPolicy::kCompact : rt::CpuPinPolicy::kNone;
-    rt::StreamServer server(v1, opts);
+    rt::StreamServer server(Alias(v1), opts);
     auto run = ev::ServeTraceWithSwap(
-        server, churn.trace, churn.trace.size() / 2,
-        std::shared_ptr<const rt::LoweredModel>(std::shared_ptr<void>{}, &v2),
-        2);
+        server, churn.trace, churn.trace.size() / 2, Alias(v2), 2);
     EXPECT_EQ(run.stats.active_version, 2u);
     EXPECT_GT(run.stats.table.evictions, 0u);
     return SortPerFlow(std::move(run.decisions));
@@ -908,13 +899,13 @@ TEST(StreamServer, PinningOptionsValidateAtConstruction) {
   rt::StreamServerOptions opts;
   opts.feature = rt::FeatureKind::kStat;
   opts.pin_policy = rt::CpuPinPolicy::kExplicit;  // empty worker_cpus
-  EXPECT_THROW(rt::StreamServer(lowered, opts), std::invalid_argument);
+  EXPECT_THROW(rt::StreamServer(Alias(lowered), opts), std::invalid_argument);
   opts.worker_cpus = {1 << 20};  // no such CPU
-  EXPECT_THROW(rt::StreamServer(lowered, opts), std::invalid_argument);
+  EXPECT_THROW(rt::StreamServer(Alias(lowered), opts), std::invalid_argument);
   // A valid explicit plan constructs and serves.
   opts.worker_cpus = {0};
   opts.ingest_cpus = {0};
-  rt::StreamServer server(lowered, opts);
+  rt::StreamServer server(Alias(lowered), opts);
   const auto churn = SmallChurn(5'000);
   const auto decisions = server.Serve(churn.trace);
   EXPECT_EQ(decisions.size(), server.Stats().decisions);
@@ -982,11 +973,6 @@ DeltaFixture BuildDeltaFixture(std::span<const float> train_x,
   fx.patches = ctrl::CollectPatches(plan);
   fx.plan_bytes = plan.total_bytes_to_push;
   return fx;
-}
-
-std::shared_ptr<const rt::LoweredModel> Alias(const rt::LoweredModel& m) {
-  return std::shared_ptr<const rt::LoweredModel>(std::shared_ptr<void>{},
-                                                 &m);
 }
 
 rt::StreamServerOptions DeltaSwapOptions(std::size_t shards, bool mt) {
