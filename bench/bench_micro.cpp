@@ -404,8 +404,10 @@ BENCHMARK(BM_InferenceEngineBatched)->Arg(16)->Arg(64)->Arg(256);
 // One 64-row batch through each of the paper's pipelines: the §6.3 models
 // lowered as bench_table6 lowers them, after test_integration's short
 // training (MLP-B: test_models' 6 epochs) — table shapes, not accuracy,
-// are the point. The counters say how many tables end their class tables
-// in the bitset root (the rest in a position root), and the index bytes.
+// are the point. The counters say how many tables and schedule units the
+// pipeline runs (each SumReduce's Maps are one unit), how many tables end
+// their class tables in the bitset root (the rest in a position root), and
+// the index bytes.
 // ---------------------------------------------------------------------------
 
 enum PaperModel {
@@ -538,6 +540,8 @@ void BM_PaperPipelineInferBatch(benchmark::State& state, PaperModel which) {
       (static_cast<double>(state.iterations()) * kPaperBatch);
   const auto report = p.lowered.pipeline().MatchIndexReport();
   state.counters["tables"] = static_cast<double>(report.indexed_tables);
+  state.counters["units"] =
+      static_cast<double>(p.lowered.pipeline().NumUnits());
   state.counters["bitset_root_tables"] =
       static_cast<double>(report.bitset_root_tables);
   state.counters["index_bytes"] = static_cast<double>(report.bytes);

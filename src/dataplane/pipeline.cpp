@@ -1,5 +1,7 @@
 #include "dataplane/pipeline.hpp"
 
+#include <algorithm>
+
 namespace pegasus::dataplane {
 
 Pipeline::Pipeline(SwitchModel model)
@@ -29,6 +31,7 @@ std::size_t Pipeline::PlaceTable(std::unique_ptr<MatchActionTable> table,
       stage.tcam_bits += tcam;
       stage.action_bus_bits += bus;
       stage.tables.push_back(std::move(table));
+      Reschedule();
       return s;
     }
   }
@@ -38,11 +41,36 @@ std::size_t Pipeline::PlaceTable(std::unique_ptr<MatchActionTable> table,
       "b TCAM, " + std::to_string(bus) + "b action bus in one stage");
 }
 
-std::size_t Pipeline::ProcessBatch(std::span<Phv> batch) const {
-  std::size_t hits = 0;
+void Pipeline::Reschedule() {
+  order_.clear();
   for (const Stage& stage : stages_) {
-    for (const auto& table : stage.tables) {
-      hits += table->ApplyBatch(batch);
+    for (const auto& table : stage.tables) order_.push_back(table.get());
+  }
+  units_ = MatchActionTable::Schedule(order_);
+}
+
+std::size_t Pipeline::ProcessBatch(std::span<Phv> batch) const {
+  // Every bound of every table is checked before the first write.
+  std::size_t width = 0;
+  for (const MatchActionTable* t : order_) {
+    width = std::max(width, t->BatchWidth());
+  }
+  for (const Phv& phv : batch) {
+    if (phv.values().size() < width) {
+      throw std::out_of_range("ProcessBatch: key or target past the PHV");
+    }
+  }
+  std::size_t hits = 0;
+  std::int32_t* rows[MatchIndex::kBatchRows];
+  for (std::size_t first = 0; first < batch.size();
+       first += MatchIndex::kBatchRows) {
+    const std::size_t m =
+        std::min(MatchIndex::kBatchRows, batch.size() - first);
+    for (std::size_t p = 0; p < m; ++p) {
+      rows[p] = batch[first + p].values().data();
+    }
+    for (const MatchActionTable::Unit unit : units_) {
+      hits += MatchActionTable::RunUnit(unit, rows, m);
     }
   }
   return hits;
@@ -65,32 +93,28 @@ ResourceReport Pipeline::Report() const {
 
 std::uint64_t Pipeline::Generation() const {
   std::uint64_t g = 0;
-  for (const Stage& stage : stages_) {
-    for (const auto& table : stage.tables) g += table->generation();
-  }
+  for (const MatchActionTable* table : order_) g += table->generation();
   return g;
 }
 
 Pipeline::IndexReport Pipeline::MatchIndexReport() const {
   IndexReport r;
-  for (const Stage& stage : stages_) {
-    for (const auto& table : stage.tables) {
-      const MatchIndexStats* s = table->index_stats();
-      if (s == nullptr) continue;
-      ++r.indexed_tables;
-      if (s->root_nodes != MatchIndexStats::kPositionRoot) {
-        ++r.bitset_root_tables;
-      }
-      r.intervals += s->intervals;
-      r.nibble_chunks += s->nibble_chunks;
-      r.class_cells += s->class_cells;
-      r.bytes += s->bytes;
-      r.build_ms += s->build_ms;
-      r.deltas_applied += s->deltas_applied;
-      r.leaf_words_patched += s->leaf_words_patched;
-      r.reseals_avoided += s->reseals_avoided;
-      r.delta_apply_ns += s->delta_apply_ns;
+  for (const MatchActionTable* table : order_) {
+    const MatchIndexStats* s = table->index_stats();
+    if (s == nullptr) continue;
+    ++r.indexed_tables;
+    if (s->root_nodes != MatchIndexStats::kPositionRoot) {
+      ++r.bitset_root_tables;
     }
+    r.intervals += s->intervals;
+    r.nibble_chunks += s->nibble_chunks;
+    r.class_cells += s->class_cells;
+    r.bytes += s->bytes;
+    r.build_ms += s->build_ms;
+    r.deltas_applied += s->deltas_applied;
+    r.leaf_words_patched += s->leaf_words_patched;
+    r.reseals_avoided += s->reseals_avoided;
+    r.delta_apply_ns += s->delta_apply_ns;
   }
   return r;
 }
@@ -138,13 +162,8 @@ std::unique_ptr<Pipeline> Pipeline::Clone() const {
     dst.tables.reserve(src.tables.size());
     for (const auto& table : src.tables) dst.tables.push_back(table->Clone());
   }
+  copy->Reschedule();
   return copy;
-}
-
-std::size_t Pipeline::NumTables() const {
-  std::size_t n = 0;
-  for (const Stage& s : stages_) n += s.tables.size();
-  return n;
 }
 
 std::size_t Pipeline::StagesUsed() const {

@@ -51,15 +51,20 @@ class Pipeline {
   }
 
   /// Runs a batch of independent PHVs through every placed table in stage
-  /// order, table-major so each table's index stays hot in cache across
-  /// the whole batch. Packets never interact: a PHV's fields after the call
-  /// do not depend on the rest of the batch. Returns total table hits
+  /// order, one schedule unit at a time over chunks of up to 64 rows: each
+  /// SumReduce's Map tables walk, then add every slice into a row's
+  /// accumulators in one pass (MatchActionTable::RunUnit). Each PHV's width
+  /// and each program's data are checked before the first write
+  /// (std::out_of_range). Packets never interact: a PHV's fields after the
+  /// call do not depend on the rest of the batch. Returns total table hits
   /// across the batch.
   std::size_t ProcessBatch(std::span<Phv> batch) const;
 
   ResourceReport Report() const;
 
-  std::size_t NumTables() const;
+  std::size_t NumTables() const { return order_.size(); }
+  /// Units in the execution schedule, derived as tables are placed.
+  std::size_t NumUnits() const { return units_.size(); }
   std::size_t StagesUsed() const;
 
   /// Sum of the placed tables' generation counters — a cheap version stamp
@@ -97,9 +102,9 @@ class Pipeline {
   /// pipeline byte-identical. Returns total control-plane bytes pushed.
   std::size_t ApplyDelta(std::span<const TablePatch> patches);
 
-  /// Deep copy preserving placement, budgets and every compiled index (no
-  /// recompilation) — the O(entries-copied), not O(rebuild), half of the
-  /// clone→patch→publish update path.
+  /// Deep copy preserving placement, budgets, every compiled index (no
+  /// recompilation) and the schedule — the O(entries-copied), not
+  /// O(rebuild), half of the clone→patch→publish update path.
   std::unique_ptr<Pipeline> Clone() const;
 
  private:
@@ -110,8 +115,15 @@ class Pipeline {
     std::size_t action_bus_bits = 0;
   };
 
+  /// Re-derives order_ and units_ from the placed tables.
+  void Reschedule();
+
   SwitchModel model_;
   std::vector<Stage> stages_;
+  /// Every placed table in execution order, and the schedule's units over
+  /// it (spans into order_).
+  std::vector<const MatchActionTable*> order_;
+  std::vector<MatchActionTable::Unit> units_;
   std::size_t stateful_bits_per_flow_ = 0;
 };
 

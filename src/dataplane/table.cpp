@@ -343,41 +343,92 @@ std::size_t MatchActionTable::ApplyBatch(std::span<Phv> batch) const {
     for (Phv& phv : batch) hits += Apply(phv) ? 1 : 0;
     return hits;
   }
-  // Every bound is checked once per batch, before any write: the data the
-  // programs read here, then each PHV's width as its row is collected. The
-  // lookups and action runs below index unchecked.
-  if (hit_program_.words_needed > index_->MinActionWords() ||
-      miss_program_.words_needed > miss_data_.size()) {
-    throw std::out_of_range(name_ + ": action data index");
-  }
-  const std::size_t fields_needed =
-      std::max({key_fields_needed_, hit_program_.fields_needed,
-                miss_program_.fields_needed});
-  // Reused scratch: no allocation on the steady-state hot path.
-  static thread_local std::vector<std::int32_t*> rows;
-  rows.resize(batch.size());
-  for (std::size_t p = 0; p < batch.size(); ++p) {
-    const std::span<std::int32_t> fields = batch[p].values();
-    if (fields.size() < fields_needed) {
+  // Every bound is checked before any write; the unit indexes unchecked.
+  const std::size_t width = BatchWidth();
+  for (const Phv& phv : batch) {
+    if (phv.values().size() < width) {
       throw std::out_of_range(name_ + ": action target or key field");
     }
-    rows[p] = fields.data();
   }
-  // Per chunk, one index walk, then each row's hit or miss run in order.
+  const MatchActionTable* self = this;
   std::size_t hits = 0;
-  std::int32_t pos[MatchIndex::kBatchRows];
-  for (std::size_t first = 0; first < rows.size();
+  std::int32_t* rows[MatchIndex::kBatchRows];
+  for (std::size_t first = 0; first < batch.size();
        first += MatchIndex::kBatchRows) {
     const std::size_t m =
-        std::min(MatchIndex::kBatchRows, rows.size() - first);
-    index_->FindBatch(rows.data() + first, m, key_fields_.data(), pos);
+        std::min(MatchIndex::kBatchRows, batch.size() - first);
     for (std::size_t p = 0; p < m; ++p) {
-      std::int32_t* fields = rows[first + p];
-      if (pos[p] != MatchIndex::kMiss) {
-        hit_program_.Execute(fields, index_->ActionData(pos[p]).data());
-        ++hits;
-      } else {
-        miss_program_.Execute(fields, miss_data_.data());
+      rows[p] = batch[first + p].values().data();
+    }
+    hits += RunUnit(Unit(&self, 1), rows, m);
+  }
+  return hits;
+}
+
+std::vector<MatchActionTable::Unit> MatchActionTable::Schedule(
+    std::span<const MatchActionTable* const> order) {
+  const auto member = [](const MatchActionTable& t) {
+    const std::vector<ActionRuns::Run>& runs = t.hit_program_.runs;
+    return runs.size() == 1 && t.miss_program_.runs.empty() &&
+           runs[0].kind == ActionOp::Kind::kAddFromData &&
+           std::ranges::none_of(t.key_fields_, [&runs](FieldId f) {
+             return f >= runs[0].target && f < runs[0].target + runs[0].len;
+           });
+  };
+  // A member joins the unit when its run has the head's target and per-op
+  // bounds (one bound per op, so equal bounds mean equal lengths).
+  const auto joins = [&member](const MatchActionTable& head,
+                               const MatchActionTable& t) {
+    const ActionRuns& a = head.hit_program_;
+    const ActionRuns& b = t.hit_program_;
+    return member(t) && a.runs[0].target == b.runs[0].target &&
+           a.lo == b.lo && a.hi == b.hi;
+  };
+  std::vector<Unit> units;
+  for (std::size_t first = 0, end = 0; first < order.size(); first = end) {
+    const bool sum = member(*order[first]);
+    end = first + 1;
+    while (sum && end < order.size() && joins(*order[first], *order[end])) {
+      ++end;
+    }
+    units.push_back(order.subspan(first, end - first));
+  }
+  return units;
+}
+
+std::size_t MatchActionTable::RunSum(Unit members, std::int32_t* const* rows,
+                                     std::size_t n) {
+  // kUnitBlock members at a time: each member's walk resolves every row's
+  // slice (nullptr on a miss), then each row adds its slices into the
+  // accumulators in table order.
+  constexpr std::size_t kUnitBlock = 16;
+  const ActionRuns& shared = members.front()->hit_program_;
+  const ActionRuns::Run run = shared.runs.front();
+  const std::int32_t* lo = shared.lo.data();
+  const std::int32_t* hi = shared.hi.data();
+  std::size_t hits = 0;
+  std::int32_t pos[MatchIndex::kBatchRows];
+  const std::int32_t* src[kUnitBlock][MatchIndex::kBatchRows];
+  for (std::size_t first = 0; first < members.size(); first += kUnitBlock) {
+    const auto block = members.subspan(
+        first, std::min(kUnitBlock, members.size() - first));
+    for (std::size_t k = 0; k < block.size(); ++k) {
+      const MatchActionTable& t = *block[k];
+      const std::size_t data_index = t.hit_program_.runs.front().data_index;
+      t.index_->FindBatch(rows, n, t.key_fields_.data(), pos);
+      for (std::size_t p = 0; p < n; ++p) {
+        src[k][p] = pos[p] == MatchIndex::kMiss
+                        ? nullptr
+                        : t.index_->ActionData(pos[p]).data() + data_index;
+        hits += pos[p] != MatchIndex::kMiss;
+      }
+    }
+    for (std::size_t p = 0; p < n; ++p) {
+      std::int32_t* acc = rows[p] + run.target;
+      for (std::size_t k = 0; k < block.size(); ++k) {
+        if (src[k][p] != nullptr) {
+          ClampRun<true>(acc, src[k][p], lo, hi, run.len);
+        }
       }
     }
   }

@@ -9,10 +9,12 @@
 // primitives").
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -169,17 +171,68 @@ class MatchActionTable {
   bool Apply(Phv& phv) const;
 
   /// Batch counterpart of Apply with identical per-packet results. Sealed,
-  /// it checks the bounds once per batch, before any write: the index's
-  /// shortest action slice and the miss data against the programs' highest
-  /// data index, then every PHV against the highest key and target field
-  /// (std::out_of_range, as Apply). Then, per chunk of up to
-  /// MatchIndex::kBatchRows PHVs, one MatchIndex::FindBatch walk reads the
-  /// keys straight off the PHVs' int32 words, and each PHV's hit (or miss)
-  /// program runs in order, as the compiled runs' straight int32 loops
-  /// over its contiguous fields, lookup then act per packet. A sealed
-  /// Apply is this call on one PHV. Unsealed, it calls Apply on each
-  /// packet in turn. Returns the number of hits.
+  /// it checks every bound once per batch, before any write (see
+  /// BatchWidth): std::out_of_range, as Apply. Then, per chunk of up to
+  /// MatchIndex::kBatchRows PHVs, it gathers the rows into a stack array
+  /// and runs this table as a unit of one (RunUnit). A sealed Apply is this
+  /// call on one PHV. Unsealed, it calls Apply on each packet in turn.
+  /// Returns the number of hits.
   std::size_t ApplyBatch(std::span<Phv> batch) const;
+
+  // ---- execution schedule ---------------------------------------------
+  //
+  // A *sum member* is a sealed table whose hit program is one kAddFromData
+  // run, with no miss program and no key field among its targets: a
+  // lowered SumReduce contributor. A unit is a maximal run of consecutive
+  // sum members whose runs write the same fields under the same clamp
+  // bounds (one SumReduce's contributors in placement order), or one other
+  // table. No member reads what the unit writes, so walking every member
+  // and then adding each row's slices in table order is sequential.
+
+  /// A unit's tables in execution order; several are sum members.
+  using Unit = std::span<const MatchActionTable* const>;
+
+  /// Splits sealed tables, in execution order, into units over `order`.
+  static std::vector<Unit> Schedule(
+      std::span<const MatchActionTable* const> order);
+
+  /// Throws std::out_of_range when the hit program reads past the index's
+  /// shortest action slice or the miss program past the miss data;
+  /// otherwise returns the narrowest PHV a sealed table's batch accepts.
+  std::size_t BatchWidth() const {
+    if (hit_program_.words_needed > index_->MinActionWords() ||
+        miss_program_.words_needed > miss_data_.size()) {
+      throw std::out_of_range(name_ + ": action data index");
+    }
+    return std::max({key_fields_needed_, hit_program_.fields_needed,
+                     miss_program_.fields_needed});
+  }
+
+  /// The batched executor: runs `unit` over n <= MatchIndex::kBatchRows
+  /// rows, each at least every member's BatchWidth() wide (unchecked). A
+  /// unit of several sum members walks every member (MatchIndex::FindBatch
+  /// reads the keys straight off the rows' int32 words), then adds each
+  /// row's hit slices in table order by one add-and-clamp loop whose
+  /// target, length and bounds are resolved once per unit. A lone table
+  /// walks, then runs each row's hit (or miss) program as the compiled
+  /// runs' straight int32 loops. Returns the number of hits.
+  static std::size_t RunUnit(Unit unit, std::int32_t* const* rows,
+                             std::size_t n) {
+    if (unit.size() > 1) return RunSum(unit, rows, n);
+    const MatchActionTable& t = *unit.front();
+    std::size_t hits = 0;
+    std::int32_t pos[MatchIndex::kBatchRows];
+    t.index_->FindBatch(rows, n, t.key_fields_.data(), pos);
+    for (std::size_t p = 0; p < n; ++p) {
+      if (pos[p] != MatchIndex::kMiss) {
+        t.hit_program_.Execute(rows[p], t.index_->ActionData(pos[p]).data());
+        ++hits;
+      } else {
+        t.miss_program_.Execute(rows[p], t.miss_data_.data());
+      }
+    }
+    return hits;
+  }
 
   /// Index of the matching entry, if any (for tests/debugging).
   std::optional<std::size_t> Lookup(const Phv& phv) const;
@@ -229,6 +282,9 @@ class MatchActionTable {
   /// std::out_of_range before any write), then executes its runs.
   void RunProgram(Phv& phv, const ActionRuns& program,
                   std::span<const std::int32_t> data) const;
+  /// A sum unit's members over n <= MatchIndex::kBatchRows checked rows.
+  static std::size_t RunSum(Unit members, std::int32_t* const* rows,
+                            std::size_t n);
   /// The unsealed table's linear scan over its entries: the reference the
   /// indexed path is property-tested against.
   std::optional<std::size_t> LinearLookup(const std::uint64_t* key) const;

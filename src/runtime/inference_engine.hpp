@@ -5,11 +5,11 @@
 // of PHVs at construction and, per batch, (1) copies the parse-time image
 // (zeros plus parser inits, checked once at construction) into each of up
 // to `batch_capacity` PHVs and writes their clamped features, (2) runs the
-// whole batch through the pipeline stage-major
-// (dataplane::Pipeline::ProcessBatch, so each table's entries stay
-// cache-hot across packets), and (3) reads the raw / dequantized outputs
-// into caller-provided buffers. Nothing is allocated after construction on
-// the span-based paths.
+// whole batch through the pipeline's schedule unit by unit
+// (dataplane::Pipeline::ProcessBatch: each SumReduce walks its Map tables,
+// then adds every slice into a row's accumulators in one pass), and (3)
+// reads the raw / dequantized outputs into caller-provided buffers.
+// Nothing is allocated after construction on the span-based paths.
 //
 // Bit-exactness: every packet sees exactly the writes LoweredModel::InferRaw
 // performed — parse-time image, clamped features, stages in order — so

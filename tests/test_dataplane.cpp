@@ -576,6 +576,198 @@ TEST(Pipeline, ProcessRunsStagesInOrder) {
   EXPECT_EQ(phv.Get(out), 123);
 }
 
+TEST(Pipeline, NarrowPhvThrowsBeforeAnyWrite) {
+  // Every PHV is checked against the widest key or target of any placed
+  // table before the first table writes: a batch whose last PHV is too
+  // narrow for the second table leaves the first PHV as it was.
+  dp::Pipeline pipe;
+  dp::PhvLayout narrow;
+  const auto key = narrow.AddField("k", 8);
+  const auto out = narrow.AddField("o", 16);
+  dp::PhvLayout wide = narrow;
+  const auto far = wide.AddField("far", 16);
+  auto t1 = MakeTable(key, out);
+  t1->AddEntry(KeyEntry(1, {100}));
+  auto t2 = MakeTable(key, far);
+  t2->AddEntry(KeyEntry(1, {7}));
+  pipe.PlaceTable(std::move(t1), 0);
+  pipe.PlaceTable(std::move(t2), 1);
+
+  std::vector<dp::Phv> batch{dp::Phv(wide), dp::Phv(narrow)};
+  for (dp::Phv& phv : batch) phv.Set(key, 1);
+  EXPECT_THROW(pipe.ProcessBatch(std::span<dp::Phv>(batch)), std::out_of_range);
+  EXPECT_EQ(batch[0].Get(out), 0);
+  EXPECT_EQ(batch[1].Get(out), 0);
+  batch.pop_back();
+  EXPECT_EQ(pipe.ProcessBatch(std::span<dp::Phv>(batch)), 2u);
+  EXPECT_EQ(batch[0].Get(out), 100);
+  EXPECT_EQ(batch[0].Get(far), 7);
+}
+
+// -------------------------------------------------------------- schedule
+
+namespace {
+
+/// The schedule tests' PHV: keys k0 and k1, accumulators a and b, and
+/// outputs o, three fields each from kA, kB and kO.
+constexpr dp::FieldId kK0 = 0, kK1 = 1, kA = 2, kB = 5, kO = 8;
+constexpr std::int64_t kSat = 60;
+
+dp::PhvLayout ScheduleLayout() {
+  dp::PhvLayout layout;
+  for (const char* f :
+       {"k0", "k1", "a0", "a1", "a2", "b0", "b1", "b2", "o0", "o1", "o2"}) {
+    layout.AddField(f, 10);
+  }
+  return layout;
+}
+
+/// A ternary table keyed on `key` whose hit program runs `kind` over the
+/// three fields from `target` with data words from `data`, clamped by
+/// `sat_max`. Its 40 exact-key entries lie in [key_lo, key_lo + 60), at
+/// mixed priorities, with words in [-20, 40]; every other key misses.
+std::unique_ptr<dp::MatchActionTable> ScheduleTable(
+    std::mt19937_64& rng, dp::FieldId key, dp::ActionOp::Kind kind,
+    dp::FieldId target, std::int64_t sat_max = kSat,
+    std::uint64_t key_lo = 0, std::size_t data = 0) {
+  std::vector<dp::ActionOp> prog;
+  for (std::size_t i = 0; i < 3; ++i) {
+    prog.push_back({kind, target + i, data + i, 0, sat_max});
+  }
+  auto t = std::make_unique<dp::MatchActionTable>(
+      "t", dp::MatchKind::kTernary, std::vector<dp::FieldId>{key},
+      std::vector<int>{8}, std::move(prog), 16);
+  for (int e = 0; e < 40; ++e) {
+    dp::TableEntry entry = KeyEntry(key_lo + rng() % 60, {});
+    entry.priority = static_cast<int>(rng() % 3);
+    for (std::size_t w = 0; w < data + 3; ++w) {
+      entry.action_data.push_back(static_cast<std::int64_t>(rng() % 61) - 20);
+    }
+    t->AddEntry(std::move(entry));
+  }
+  return t;
+}
+
+/// Places `tables` in order and checks ProcessBatch against the sequential
+/// Apply of their unsealed copies on batches across chunk boundaries, and
+/// the schedule's unit count.
+void ExpectScheduleMatchesLinear(
+    std::vector<std::unique_ptr<dp::MatchActionTable>> tables,
+    std::size_t units) {
+  const dp::PhvLayout layout = ScheduleLayout();
+  dp::Pipeline pipe;
+  std::vector<std::unique_ptr<dp::MatchActionTable>> linear;
+  for (auto& t : tables) {
+    linear.push_back(t->Clone());
+    pipe.PlaceTable(std::move(t), 0);
+  }
+  ASSERT_EQ(pipe.NumTables(), linear.size());
+  EXPECT_EQ(pipe.NumUnits(), units);
+  std::mt19937_64 rng(linear.size() * 31 + units);
+  for (const std::size_t n : {1, 63, 64, 65, 130}) {
+    std::vector<dp::Phv> batch(n, dp::Phv(layout));
+    for (std::size_t p = 0; p < n; ++p) {
+      for (dp::FieldId f = 0; f < layout.NumFields(); ++f) {
+        batch[p].Set(f, static_cast<std::int64_t>(rng() % (kSat + 1)));
+      }
+      // Keys mostly in the entries' range, some past it; one row misses
+      // every table (its accumulators sit below the key-in-target
+      // table's keys).
+      batch[p].Set(kK0, static_cast<std::int64_t>(rng() % 72));
+      batch[p].Set(kK1, static_cast<std::int64_t>(rng() % 72));
+      if (n > 1 && p == n / 2) {
+        batch[p].Set(kK0, 255);
+        batch[p].Set(kK1, 255);
+        for (dp::FieldId f = kA; f < kO; ++f) batch[p].Set(f, 0);
+      }
+    }
+    std::vector<dp::Phv> want = batch;
+    std::size_t want_hits = 0;
+    for (dp::Phv& phv : want) {
+      for (const auto& t : linear) want_hits += t->Apply(phv) ? 1 : 0;
+    }
+    EXPECT_EQ(pipe.ProcessBatch(std::span<dp::Phv>(batch)), want_hits)
+        << n << " rows";
+    for (std::size_t p = 0; p < n; ++p) {
+      for (dp::FieldId f = 0; f < layout.NumFields(); ++f) {
+        ASSERT_EQ(batch[p].Get(f), want[p].Get(f))
+            << n << " rows, row " << p << ", field " << f;
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(Schedule, ConsecutiveMembersWithEqualRunsFormOneUnit) {
+  // The third member reads its slice from data word 2 on.
+  std::mt19937_64 rng(1);
+  constexpr auto kAdd = dp::ActionOp::Kind::kAddFromData;
+  std::vector<std::unique_ptr<dp::MatchActionTable>> tables;
+  tables.push_back(ScheduleTable(rng, kK0, kAdd, kA));
+  tables.push_back(ScheduleTable(rng, kK1, kAdd, kA));
+  tables.push_back(ScheduleTable(rng, kK0, kAdd, kA, kSat, 0, 2));
+  ExpectScheduleMatchesLinear(std::move(tables), 1);
+}
+
+TEST(Schedule, AUnitPastSixteenMembersStaysOneUnit) {
+  // The executor walks and adds 16 members at a time.
+  std::mt19937_64 rng(5);
+  std::vector<std::unique_ptr<dp::MatchActionTable>> tables;
+  for (int i = 0; i < 20; ++i) {
+    tables.push_back(ScheduleTable(rng, i % 2 == 0 ? kK0 : kK1,
+                                   dp::ActionOp::Kind::kAddFromData, kA));
+  }
+  ExpectScheduleMatchesLinear(std::move(tables), 1);
+}
+
+TEST(Schedule, ATableWritingOtherFieldsSplitsTheMembers) {
+  std::mt19937_64 rng(2);
+  constexpr auto kAdd = dp::ActionOp::Kind::kAddFromData;
+  std::vector<std::unique_ptr<dp::MatchActionTable>> tables;
+  for (int i = 0; i < 3; ++i) tables.push_back(ScheduleTable(rng, kK0, kAdd, kA));
+  tables.push_back(
+      ScheduleTable(rng, kK1, dp::ActionOp::Kind::kSetFromData, kO, -1));
+  tables.push_back(ScheduleTable(rng, kK1, kAdd, kA));
+  ExpectScheduleMatchesLinear(std::move(tables), 3);
+}
+
+TEST(Schedule, MembersThatCannotShareAUnitStandAlone) {
+  constexpr auto kAdd = dp::ActionOp::Kind::kAddFromData;
+  // Between two members: one with a miss program, one keyed on a field
+  // among its targets (it reads what the members before it added), and
+  // one with a different sat_max.
+  for (int odd = 0; odd < 3; ++odd) {
+    std::mt19937_64 rng(10 + odd);
+    std::vector<std::unique_ptr<dp::MatchActionTable>> tables;
+    tables.push_back(ScheduleTable(rng, kK0, kAdd, kA));
+    tables.push_back(ScheduleTable(rng, kK1, kAdd, kA));
+    if (odd == 0) {
+      tables.push_back(ScheduleTable(rng, kK0, kAdd, kA));
+      tables.back()->SetMissProgram({{dp::ActionOp::Kind::kAddConst, kA, 0, 5,
+                                      kSat}},
+                                    {});
+    } else if (odd == 1) {
+      tables.push_back(ScheduleTable(rng, kA + 1, kAdd, kA, kSat, 1));
+    } else {
+      tables.push_back(ScheduleTable(rng, kK0, kAdd, kA, kSat / 2));
+    }
+    tables.push_back(ScheduleTable(rng, kK1, kAdd, kA));
+    SCOPED_TRACE(odd);
+    ExpectScheduleMatchesLinear(std::move(tables), 3);
+  }
+}
+
+TEST(Schedule, TwoSumReducesBackToBackFormTwoUnits) {
+  std::mt19937_64 rng(4);
+  constexpr auto kAdd = dp::ActionOp::Kind::kAddFromData;
+  std::vector<std::unique_ptr<dp::MatchActionTable>> tables;
+  tables.push_back(ScheduleTable(rng, kK0, kAdd, kA));
+  tables.push_back(ScheduleTable(rng, kK1, kAdd, kA));
+  for (int i = 0; i < 3; ++i) tables.push_back(ScheduleTable(rng, kK0, kAdd, kB));
+  ExpectScheduleMatchesLinear(std::move(tables), 2);
+}
+
 TEST(Pipeline, ReportAggregates) {
   dp::Pipeline pipe;
   dp::PhvLayout layout;

@@ -1042,6 +1042,54 @@ TEST(StreamServerDelta, DeltaSwapMatchesFullSwapDecisionForDecision) {
   }
 }
 
+TEST(StreamServerDelta, DeltaOnOneSumMemberMatchesReseal) {
+  // The fixture's 8 Maps form one SumReduce unit. Patching exactly one of
+  // them must serve as the freshly lowered target whose install sequence
+  // carries that member's new words, through a 64-row engine across chunk
+  // boundaries, and an engine built before the delta must throw.
+  const auto ds = tr::Generate(tr::PeerRushSpec(8, 47));
+  const auto offline = tr::ExtractSeqFeatures(ds.flows, EveryPacket());
+  const auto fx = BuildDeltaFixture(offline.x, offline.size());
+  ASSERT_EQ(fx.v1.lowered->NumTables(), 9u);
+  ASSERT_EQ(fx.v1.lowered->pipeline().NumUnits(), 2u)
+      << "the SumReduce's 8 Maps, then the head Map";
+  // The target: v1's install sequence with every other entry of one
+  // member (a middle Map; the head is pushed last) moved by 5 per word,
+  // lowered afresh. The patch repeats each entry's match and priority.
+  auto pushes = ctrl::EmitPushSequence(fx.v1);
+  ASSERT_EQ(pushes.size(), 9u);
+  rt::TableEntryPush& member = pushes[3];
+  dp::TablePatch patch{member.table, {}};
+  for (std::size_t e = 0; e < member.entries.size(); e += 2) {
+    dp::TableEntry& entry = member.entries[e];
+    for (std::int64_t& w : entry.action_data) w += 5;
+    patch.patches.push_back({.entry_index = e,
+                             .ternary = entry.ternary,
+                             .range_lo = entry.range_lo,
+                             .range_hi = entry.range_hi,
+                             .priority = entry.priority,
+                             .action_data = entry.action_data});
+  }
+  const rt::LoweredModel target =
+      rt::LowerFromPush(*fx.v1.compiled, fx.v1.lowering, pushes);
+
+  rt::LoweredModel patched = fx.v1.lowered->Clone();
+  rt::InferenceEngine stale(patched, 64);
+  patched.ApplyDelta(std::span(&patch, 1));
+
+  constexpr std::size_t kRows = 150;
+  ASSERT_GE(offline.size(), kRows);
+  const std::span<const float> x(offline.x.data(), kRows * 16);
+  std::vector<std::int64_t> got(kRows * stale.output_dim());
+  EXPECT_THROW(stale.InferRaw(x, kRows, got), std::logic_error);
+  std::vector<std::int64_t> want(got.size()), before(got.size());
+  rt::InferenceEngine(patched, 64).InferRaw(x, kRows, got);
+  rt::InferenceEngine(target, 64).InferRaw(x, kRows, want);
+  rt::InferenceEngine(*fx.v1.lowered, 64).InferRaw(x, kRows, before);
+  EXPECT_EQ(got, want);
+  EXPECT_NE(got, before) << "the patched member must move some output";
+}
+
 TEST(StreamServerDelta, RejectsStaleVersionsAndUnknownTables) {
   const auto ds = tr::Generate(tr::PeerRushSpec(4, 48));
   const auto offline = tr::ExtractSeqFeatures(ds.flows);
